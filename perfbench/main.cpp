@@ -13,6 +13,7 @@
 // reference digests of every pool entry to <refs>/<workload>.tsv.
 #include <malloc.h>
 #include <sys/resource.h>
+#include <ucontext.h>
 
 #include <algorithm>
 #include <cinttypes>
@@ -220,11 +221,74 @@ void print_result(bool correct, std::uint64_t attempted, std::uint64_t failed,
   std::fflush(stdout);
 }
 
+// --- host probe -----------------------------------------------------------------
+
+/// A fixed piece of work, independent of the program, that the driver times
+/// next to the ops to track how fast the shared host runs at that moment.
+///
+/// On the shared 4-core VM the bounds were set on, identical ops drifted by
+/// 10-40 % over tens of seconds as other tenants loaded the memory system;
+/// process CPU time drifted with them, and a pure-ALU loop did not drift at
+/// all. The probe does the kind of work that drifts with the ops: short
+/// strings hashed into a map with heap churn, and fiber switches through
+/// swapcontext (the Sim's own context switch). Over 1 s passes its time
+/// tracked both workloads' throughput with a correlation of -0.96 to -0.97,
+/// and scaling each pass by it cut the pass-to-pass spread of
+/// requests_per_s from 11-12 % to 3.3 %.
+class HostProbe {
+ public:
+  HostProbe() {
+    getcontext(&fiber_);
+    fiber_.uc_stack.ss_sp = stack_.data();
+    fiber_.uc_stack.ss_size = stack_.size();
+    fiber_.uc_link = nullptr;
+    makecontext(&fiber_, &HostProbe::bounce, 0);
+  }
+
+  /// Seconds one round of the probe took now.
+  double sample() {
+    const Clock::time_point t0 = Clock::now();
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    std::uint64_t sink = 0;
+    std::unordered_map<std::string, std::uint64_t> map;
+    for (std::size_t i = 0; i < kMapRounds; ++i) {
+      map["probe.key." + std::to_string(rg::support::splitmix64(state) % 1024)] += i;
+      const std::vector<char> block(64 + i % 512, static_cast<char>(i));
+      sink += static_cast<unsigned char>(block.back());
+    }
+    for (std::size_t i = 0; i < kSwitches; ++i) swapcontext(&caller_, &fiber_);
+    sink_ = sink + map.size();
+    return seconds_between(t0, Clock::now());
+  }
+
+ private:
+  static constexpr std::size_t kMapRounds = 3000;
+  static constexpr std::size_t kSwitches = 2000;
+
+  static void bounce() {
+    for (;;) swapcontext(&fiber_, &caller_);
+  }
+
+  static inline ucontext_t caller_{}, fiber_{};
+  std::vector<char> stack_ = std::vector<char>(64 * 1024);
+  volatile std::uint64_t sink_ = 0;
+};
+
+/// Timing metrics are scaled to a host on which one probe sample takes this
+/// long (its median on the idle 4-core VM above): a value reads as the
+/// measured one times kProbeReferenceSeconds / (the probe's median next to it).
+constexpr double kProbeReferenceSeconds = 1.4e-3;
+
+double probe_scale(const std::vector<double>& probe_seconds) {
+  return kProbeReferenceSeconds / quantile(probe_seconds, 0.5);
+}
+
 // --- the run --------------------------------------------------------------------
 
-constexpr int kSetups = 11;
-/// A pass has at least kMinOps ops (so >= 10 lie beyond its p90) and
-/// kPassSeconds of op time; a run has at least kMinPasses passes.
+constexpr int kSetups = 21;
+/// A pass has at least kMinOps ops and kPassSeconds of op time, and is
+/// scaled by the probe samples taken between its entries; a run has at
+/// least kMinPasses passes.
 constexpr std::size_t kMinOps = 100;
 constexpr double kPassSeconds = 1.0;
 constexpr std::size_t kMinPasses = 8;
@@ -239,11 +303,11 @@ struct OpTotals {
   std::uint64_t requests = 0;
   double seconds = 0;
 
-  void add(const std::vector<OpRecord>& ops) {
+  void add(const std::vector<OpRecord>& ops, double scale = 1) {
     for (const OpRecord& op : ops) {
-      ms.push_back(op.seconds * 1e3);
+      ms.push_back(op.seconds * scale * 1e3);
       requests += op.requests;
-      seconds += op.seconds;
+      seconds += op.seconds * scale;
     }
   }
   double requests_per_s() const { return ratio(static_cast<double>(requests), seconds); }
@@ -435,10 +499,12 @@ int run(const Args& args, Clock::time_point process_start) {
   const std::size_t root = spans.open("run " + args.workload, 0);
 
   // Set-up: scenario generation, reference digests, one warm-up op; done
-  // kSetups times (the first from process start), the median reported.
+  // kSetups times (the first from process start), each followed by a probe
+  // sample; the median is reported, scaled like the ops.
+  HostProbe probe;
   std::unique_ptr<Workload> w;
   Refs refs;
-  std::vector<double> setups;
+  std::vector<double> setups, setup_probes;
   for (int i = 0; i < kSetups; ++i) {
     const Clock::time_point t0 = i == 0 ? process_start : Clock::now();
     const std::size_t s = spans.open("setup", root);
@@ -448,6 +514,7 @@ int run(const Args& args, Clock::time_point process_start) {
     w->warm_up();
     spans.close(s);
     setups.push_back(seconds_between(t0, Clock::now()));
+    setup_probes.push_back(probe.sample());
   }
 
   std::uint64_t state = args.seed;
@@ -468,45 +535,65 @@ int run(const Args& args, Clock::time_point process_start) {
 
   if (!args.trace) {
     // Closed loop over pool entries, grouped into passes of at least
-    // kMinOps ops and kPassSeconds of op time. Each timing metric is taken
-    // per pass and reported from the best quarter of passes (first
-    // quartile of times, third of throughput): interference from outside
-    // the process only ever slows a pass, and on a shared 4-core VM this
-    // halved the run-to-run spread against the median over passes.
-    std::vector<OpTotals> passes;
+    // kMinOps ops and kPassSeconds of op time, with a probe sample after
+    // every entry. Each pass's op times are scaled by its probe median
+    // (see HostProbe); the timing metrics are taken over all scaled ops.
+    // A run ends on a whole sweep of the pool, so every seed times the
+    // same inputs (the seed picks the entry it starts from): entries differ
+    // in cost, and a part-sweep made the metrics depend on which ran.
+    OpTotals raw, scaled;
+    std::vector<double> probes;
+    std::size_t passes = 0;
     std::size_t k = 0;
-    while (passes.size() < kMinPasses || elapsed() < args.seconds) {
-      OpTotals& pass = passes.emplace_back();
-      while (pass.ms.size() < kMinOps || pass.seconds < kPassSeconds) {
+    // True once the run (counting `pass_done` passes) may end.
+    auto done = [&](std::size_t pass_done) {
+      return pass_done >= kMinPasses && k % w->pool_size() == 0 &&
+             elapsed() >= args.seconds;
+    };
+    while (!done(passes)) {
+      std::vector<std::vector<OpRecord>> entries;
+      std::vector<double> pass_probes;
+      OpTotals pass;
+      while ((pass.ms.size() < kMinOps || pass.seconds < kPassSeconds) &&
+             (pass.ms.empty() || !done(passes + 1))) {
         const std::size_t entry = (base + k++) % w->pool_size();
         const std::size_t s = spans.open("entry " + std::to_string(entry), root);
-        const std::vector<OpRecord> ops = w->run_entry(entry, nullptr);
+        std::vector<OpRecord> ops = w->run_entry(entry, nullptr);
         spans.close(s);
         check(ops);
         pass.add(ops);
+        entries.push_back(std::move(ops));
         // Hand freed heap back between entries, so peak RSS is the largest
         // entry's own footprint, not an artefact of the order entries ran.
         malloc_trim(0);
+        pass_probes.push_back(probe.sample());
       }
+      const double scale = probe_scale(pass_probes);
+      for (const std::vector<OpRecord>& ops : entries) {
+        raw.add(ops);
+        scaled.add(ops, scale);
+      }
+      probes.insert(probes.end(), pass_probes.begin(), pass_probes.end());
+      ++passes;
     }
-    auto across_passes = [&](double q, auto&& per_pass) {
-      std::vector<double> v;
-      for (const OpTotals& pass : passes) v.push_back(per_pass(pass));
-      return quantile(v, q);
-    };
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     metrics = {
-        {"setup_s", quantile(setups, 0.5), "s"},
-        {"requests_per_s", across_passes(0.75, [](const OpTotals& p) { return p.requests_per_s(); }), "1/s"},
-        {"op_ms_p50", across_passes(0.25, [](const OpTotals& p) { return quantile(p.ms, 0.5); }), "ms"},
-        {"op_ms_p90", across_passes(0.25, [](const OpTotals& p) { return quantile(p.ms, 0.9); }), "ms"},
+        {"setup_s", quantile(setups, 0.5) * probe_scale(setup_probes), "s"},
+        {"requests_per_s", scaled.requests_per_s(), "1/s"},
+        {"op_ms_p50", quantile(scaled.ms, 0.5), "ms"},
+        {"op_ms_p90", quantile(scaled.ms, 0.9), "ms"},
         {"peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0, "MB"},
         {"success_rate", 1.0 - ratio(static_cast<double>(failed), static_cast<double>(attempted)), "ratio"},
     };
     std::printf("%s seed %" PRIu64 ": %" PRIu64 " ops in %zu passes from pool entry %zu on, error_rate %.6f\n",
-                args.workload.c_str(), args.seed, attempted, passes.size(), base,
+                args.workload.c_str(), args.seed, attempted, passes, base,
                 ratio(static_cast<double>(failed), static_cast<double>(attempted)));
+    std::printf("unscaled: setup %.6f s, %.1f requests/s, op p50 %.4f ms, op p90 %.4f ms; "
+                "probe median %.4f ms (reference %.4f ms)\n",
+                quantile(setups, 0.5), raw.requests_per_s(), quantile(raw.ms, 0.5),
+                quantile(raw.ms, 0.9), quantile(probes, 0.5) * 1e3,
+                kProbeReferenceSeconds * 1e3);
   } else {
     // Rounds of the same pool entry, untraced then traced: the traced
     // repetitions give the hook tables, the pair gives trace.overhead, and
