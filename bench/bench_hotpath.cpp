@@ -1,9 +1,8 @@
 // E11 — hot-path overhaul: what each per-event optimization buys, and proof
 // that none of them changes what the detector reports.
 //
-// Four comparisons on the T5 mixed scenario (the §4.5 workload):
+// Three comparisons on the T5 mixed scenario (the §4.5 workload):
 //   scheduler fast path   on/off   (no-switch budget, fiber scheduler)
-//   lockset cache         on/off   (per-thread effective-lockset memo)
 //   shadow TLB            on/off   (last-page lookup cache)
 //   Fig. 6 harness        serial vs OS-thread pool (3 cells per case)
 // Every on/off pair asserts identical warning locations, location keys and
@@ -111,12 +110,6 @@ int main(int argc, char** argv) {
   sipp::ExperimentResult fast_r;
   compare("sched fast path", "sched_fast_path", cfg_off, cfg_on, fast_r);
 
-  // Per-thread effective-lockset cache.
-  cfg_off = base;
-  cfg_off.detector.lockset_cache = false;
-  sipp::ExperimentResult lockset_r;
-  compare("lockset cache", "lockset_cache", cfg_off, base, lockset_r);
-
   // Shadow-map last-page TLB.
   cfg_off = base;
   cfg_off.detector.shadow_tlb = false;
@@ -125,11 +118,10 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.render().c_str());
 
-  const rt::ToolStats stats = lockset_r.tool_stats;
+  const rt::ToolStats stats = tlb_r.tool_stats;
   std::printf(
       "counters (optimizations on):\n"
       "  sched fast-path steps   %llu / %llu (%.0f%%)\n"
-      "  lockset cache hit/miss  %llu / %llu\n"
       "  shadow TLB hit/miss     %llu / %llu\n\n",
       static_cast<unsigned long long>(fast_r.sim.fast_path_steps),
       static_cast<unsigned long long>(fast_r.sim.steps),
@@ -138,14 +130,10 @@ int main(int argc, char** argv) {
                                   static_cast<double>(
                                       fast_r.sim.fast_path_steps) /
                                   static_cast<double>(fast_r.sim.steps),
-      static_cast<unsigned long long>(stats.lockset_cache_hits),
-      static_cast<unsigned long long>(stats.lockset_cache_misses),
       static_cast<unsigned long long>(stats.shadow_tlb_hits),
       static_cast<unsigned long long>(stats.shadow_tlb_misses));
   json.add("sched_fast_path_steps", fast_r.sim.fast_path_steps);
   json.add("sched_steps", fast_r.sim.steps);
-  json.add("lockset_cache_hits", stats.lockset_cache_hits);
-  json.add("lockset_cache_misses", stats.lockset_cache_misses);
   json.add("shadow_tlb_hits", stats.shadow_tlb_hits);
   json.add("shadow_tlb_misses", stats.shadow_tlb_misses);
 

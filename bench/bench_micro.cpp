@@ -157,13 +157,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nhot-path counters (T1, HWLC+DR, seed %llu):\n"
       "  sched fast-path steps   %llu / %llu\n"
-      "  lockset cache hit/miss  %llu / %llu\n"
       "  shadow TLB hit/miss     %llu / %llu\n",
       static_cast<unsigned long long>(cfg.seed),
       static_cast<unsigned long long>(r.sim.fast_path_steps),
       static_cast<unsigned long long>(r.sim.steps),
-      static_cast<unsigned long long>(stats.lockset_cache_hits),
-      static_cast<unsigned long long>(stats.lockset_cache_misses),
       static_cast<unsigned long long>(stats.shadow_tlb_hits),
       static_cast<unsigned long long>(stats.shadow_tlb_misses));
 
@@ -172,8 +169,6 @@ int main(int argc, char** argv) {
   json.add("seed", cfg.seed);
   json.add("sched_fast_path_steps", r.sim.fast_path_steps);
   json.add("sched_steps", r.sim.steps);
-  json.add("lockset_cache_hits", stats.lockset_cache_hits);
-  json.add("lockset_cache_misses", stats.lockset_cache_misses);
   json.add("shadow_tlb_hits", stats.shadow_tlb_hits);
   json.add("shadow_tlb_misses", stats.shadow_tlb_misses);
   json.write();

@@ -1,6 +1,6 @@
 // deadlock_demo — both kinds of deadlock checking (paper §3.3).
 //
-// 1. The DeadlockTool's lock-order graph flags a *potential* deadlock from
+// 1. The LockGraphTool's lock-order graph flags a *potential* deadlock from
 //    a run that never actually blocked (lock-order inversion).
 // 2. The scheduler detects an *actual* deadlock when a schedule drives the
 //    two threads into the circular wait, and reports who was blocked on
@@ -8,7 +8,7 @@
 //    proxy shipped with.
 #include <cstdio>
 
-#include "core/deadlock.hpp"
+#include "core/lockgraph.hpp"
 #include "rt/sim.hpp"
 #include "rt/sync.hpp"
 #include "rt/thread.hpp"
@@ -33,7 +33,7 @@ int main() {
 
   // --- 1. potential deadlock found without blocking ------------------------
   {
-    core::DeadlockTool order_checker;
+    core::LockGraphTool order_checker;
     rt::Sim sim;
     sim.attach(order_checker);
     sim.run([] {

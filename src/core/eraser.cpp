@@ -9,68 +9,10 @@ EraserBasicTool::EraserBasicTool(const EraserBasicConfig& config)
   shadow_.set_tlb_enabled(config.shadow_tlb);
 }
 
-void EraserBasicTool::on_attach(rt::Runtime& rt) {
-  Tool::on_attach(rt);
-  // Backfill locks registered before this tool attached (e.g. another
-  // tool's pseudo-lock) so LockIds stay dense in is_rw_lock_.
-  while (is_rw_lock_.size() < rt.lock_count())
-    is_rw_lock_.push_back(
-        rt.lock_is_rw(static_cast<rt::LockId>(is_rw_lock_.size())) ? 1 : 0);
-}
-
-void EraserBasicTool::on_thread_start(rt::ThreadId tid, rt::ThreadId /*parent*/,
-                                      support::SiteId /*site*/) {
-  if (tid >= lockset_cache_.size()) lockset_cache_.resize(tid + 1);
-}
-
-void EraserBasicTool::on_lock_create(rt::LockId lock, support::Symbol /*name*/,
-                                     bool is_rw) {
-  RG_ASSERT_MSG(lock == is_rw_lock_.size(),
-                "locks must be registered in id order");
-  is_rw_lock_.push_back(is_rw ? 1 : 0);
-  for (LocksetCacheEntry& e : lockset_cache_) e = LocksetCacheEntry{};
-}
-
-void EraserBasicTool::on_post_lock(rt::ThreadId tid, rt::LockId /*lock*/,
-                                   rt::LockMode /*mode*/,
-                                   support::SiteId /*site*/) {
-  invalidate_lockset_cache(tid);
-}
-
-void EraserBasicTool::on_unlock(rt::ThreadId tid, rt::LockId /*lock*/,
-                                support::SiteId /*site*/) {
-  invalidate_lockset_cache(tid);
-}
-
-void EraserBasicTool::invalidate_lockset_cache(rt::ThreadId tid) {
-  if (tid < lockset_cache_.size()) lockset_cache_[tid] = LocksetCacheEntry{};
-}
-
 shadow::LocksetId EraserBasicTool::held_lockset(rt::ThreadId tid,
                                                 bool is_write) {
-  const unsigned idx = is_write ? 1u : 0u;
-  if (config_.lockset_cache && tid < lockset_cache_.size()) {
-    LocksetCacheEntry& entry = lockset_cache_[tid];
-    if (entry.valid[idx]) {
-      ++lockset_cache_hits_;
-      return entry.id[idx];
-    }
-    ++lockset_cache_misses_;
-    const shadow::LocksetId id = compute_held_lockset(tid, is_write);
-    entry.id[idx] = id;
-    entry.valid[idx] = true;
-    return id;
-  }
-  ++lockset_cache_misses_;
-  return compute_held_lockset(tid, is_write);
-}
-
-shadow::LocksetId EraserBasicTool::compute_held_lockset(rt::ThreadId tid,
-                                                        bool is_write) {
   shadow::LockVec held;
   for (const rt::HeldLock& h : rt_->held_locks(tid)) {
-    RG_ASSERT_MSG(h.lock < is_rw_lock_.size(),
-                  "lock used before on_lock_create");
     if (config_.rw_rule && is_write && h.mode == rt::LockMode::Shared)
       continue;  // write rule: only write-mode locks protect a write
     held.push_back(h.lock);
@@ -112,8 +54,6 @@ void EraserBasicTool::on_free(rt::ThreadId /*tid*/, rt::Addr addr,
 
 rt::ToolStats EraserBasicTool::stats() const {
   rt::ToolStats s;
-  s.lockset_cache_hits = lockset_cache_hits_;
-  s.lockset_cache_misses = lockset_cache_misses_;
   s.shadow_tlb_hits = shadow_.tlb_stats().hits;
   s.shadow_tlb_misses = shadow_.tlb_stats().misses;
   return s;

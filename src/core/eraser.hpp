@@ -14,14 +14,10 @@
 // extension.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "core/report.hpp"
 #include "rt/tool.hpp"
 #include "shadow/lockset.hpp"
 #include "shadow/shadow_map.hpp"
-#include "support/assert.hpp"
 
 namespace rg::core {
 
@@ -31,10 +27,8 @@ struct EraserBasicConfig {
   bool rw_rule = false;
   /// Exclude reads entirely (warn only at writes with empty lockset).
   bool warn_on_reads = true;
-  /// Per-thread effective-lockset cache (read/write variants); pure
-  /// memoisation, off only for the equivalence tests.
-  bool lockset_cache = true;
-  /// Shadow-map last-page TLB (same contract).
+  /// Shadow-map last-page TLB. Pure memoisation; off only for the
+  /// equivalence tests.
   bool shadow_tlb = true;
 };
 
@@ -46,15 +40,6 @@ class EraserBasicTool : public rt::Tool {
   ReportManager& reports() { return reports_; }
   const ReportManager& reports() const { return reports_; }
 
-  void on_attach(rt::Runtime& rt) override;
-  void on_thread_start(rt::ThreadId tid, rt::ThreadId parent,
-                       support::SiteId site) override;
-  void on_lock_create(rt::LockId lock, support::Symbol name,
-                      bool is_rw) override;
-  void on_post_lock(rt::ThreadId tid, rt::LockId lock, rt::LockMode mode,
-                    support::SiteId site) override;
-  void on_unlock(rt::ThreadId tid, rt::LockId lock,
-                 support::SiteId site) override;
   void on_access(const rt::MemoryAccess& access) override;
   void on_alloc(rt::ThreadId tid, rt::Addr addr, std::uint32_t size,
                 support::SiteId site) override;
@@ -68,26 +53,14 @@ class EraserBasicTool : public rt::Tool {
     bool reported = false;
   };
 
-  /// Per-thread memo of the held lockset, one variant per access kind
-  /// (reads and writes differ only under rw_rule).
-  struct LocksetCacheEntry {
-    shadow::LocksetId id[2] = {};
-    bool valid[2] = {};
-  };
-
+  /// locks_held(t) from the runtime's held-lock set; reads and writes
+  /// differ only under rw_rule.
   shadow::LocksetId held_lockset(rt::ThreadId tid, bool is_write);
-  shadow::LocksetId compute_held_lockset(rt::ThreadId tid, bool is_write);
-  void invalidate_lockset_cache(rt::ThreadId tid);
 
   EraserBasicConfig config_;
   ReportManager reports_;
   shadow::LocksetTable locksets_;
   shadow::ShadowMap<Cell> shadow_;
-  /// Dense by LockId; the read path indexes and can never insert.
-  std::vector<std::uint8_t> is_rw_lock_;
-  std::vector<LocksetCacheEntry> lockset_cache_;
-  std::uint64_t lockset_cache_hits_ = 0;
-  std::uint64_t lockset_cache_misses_ = 0;
 };
 
 }  // namespace rg::core

@@ -3,7 +3,6 @@
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
 #include "rt/runtime.hpp"
-#include "support/assert.hpp"
 
 namespace rg::core {
 
@@ -15,12 +14,6 @@ HelgrindTool::HelgrindTool(const HelgrindConfig& config)
 
 void HelgrindTool::on_attach(rt::Runtime& rt) {
   Tool::on_attach(rt);
-  // Locks registered before this tool attached (e.g. another tool's
-  // pseudo-lock) never reached our on_lock_create; backfill so ids stay
-  // dense and the read path can index without inserting.
-  while (is_rw_lock_.size() < rt.lock_count())
-    is_rw_lock_.push_back(
-        rt.lock_is_rw(static_cast<rt::LockId>(is_rw_lock_.size())) ? 1 : 0);
   // The hardware bus lock is a pseudo-lock owned by this tool; it never
   // appears in the runtime's held-lock sets and is injected into effective
   // locksets according to the configured model.
@@ -46,7 +39,6 @@ const char* HelgrindTool::state_name(MemState s) {
 
 void HelgrindTool::on_thread_start(rt::ThreadId tid, rt::ThreadId parent,
                                    support::SiteId /*site*/) {
-  if (tid >= lockset_cache_.size()) lockset_cache_.resize(tid + 1);
   if (parent == rt::kNoThread) {
     segments_.start_thread(tid, shadow::kNoSegment);
     return;
@@ -60,33 +52,6 @@ void HelgrindTool::on_thread_start(rt::ThreadId tid, rt::ThreadId parent,
 void HelgrindTool::on_thread_join(rt::ThreadId joiner, rt::ThreadId joined,
                                   support::SiteId /*site*/) {
   segments_.advance(joiner, segments_.current(joined));
-}
-
-void HelgrindTool::on_lock_create(rt::LockId lock, support::Symbol /*name*/,
-                                  bool is_rw) {
-  // Lock ids are dense and registered in creation order; every later
-  // lookup is a read-only index (never an insertion).
-  RG_ASSERT_MSG(lock == is_rw_lock_.size(),
-                "locks must be registered in id order");
-  is_rw_lock_.push_back(is_rw ? 1 : 0);
-  // Registration cannot race a held-lock set, but drop all cached
-  // locksets anyway: the registration event is rare and cold.
-  for (LocksetCacheEntry& e : lockset_cache_) e = LocksetCacheEntry{};
-}
-
-void HelgrindTool::on_post_lock(rt::ThreadId tid, rt::LockId /*lock*/,
-                                rt::LockMode /*mode*/,
-                                support::SiteId /*site*/) {
-  invalidate_lockset_cache(tid);
-}
-
-void HelgrindTool::on_unlock(rt::ThreadId tid, rt::LockId /*lock*/,
-                             support::SiteId /*site*/) {
-  invalidate_lockset_cache(tid);
-}
-
-void HelgrindTool::invalidate_lockset_cache(rt::ThreadId tid) {
-  if (tid < lockset_cache_.size()) lockset_cache_[tid] = LocksetCacheEntry{};
 }
 
 void HelgrindTool::on_queue_put(rt::ThreadId tid, rt::SyncId /*queue*/,
@@ -125,33 +90,11 @@ void HelgrindTool::on_sem_wait_return(rt::ThreadId tid, rt::SyncId /*sem*/,
 shadow::LocksetId HelgrindTool::effective_locks(rt::ThreadId tid,
                                                 bool for_write,
                                                 bool bus_locked) {
-  const unsigned idx = (for_write ? 2u : 0u) | (bus_locked ? 1u : 0u);
-  if (config_.lockset_cache && tid < lockset_cache_.size()) {
-    LocksetCacheEntry& entry = lockset_cache_[tid];
-    if (entry.valid[idx]) {
-      ++lockset_cache_hits_;
-      return entry.id[idx];
-    }
-    ++lockset_cache_misses_;
-    const shadow::LocksetId id =
-        compute_effective_locks(tid, for_write, bus_locked);
-    entry.id[idx] = id;
-    entry.valid[idx] = true;
-    return id;
-  }
-  ++lockset_cache_misses_;
-  return compute_effective_locks(tid, for_write, bus_locked);
-}
-
-shadow::LocksetId HelgrindTool::compute_effective_locks(rt::ThreadId tid,
-                                                        bool for_write,
-                                                        bool bus_locked) {
   shadow::LockVec v;
   for (const rt::HeldLock& h : rt_->held_locks(tid)) {
-    const bool rw = is_rw(h.lock);
     // Original Helgrind did not intercept pthread_rwlock: those locks are
     // invisible to it.
-    if (rw && !config_.rwlock_api) continue;
+    if (!config_.rwlock_api && rt_->lock_is_rw(h.lock)) continue;
     // Eraser write rule: only locks held in write mode protect a write.
     if (for_write && h.mode == rt::LockMode::Shared) continue;
     v.push_back(h.lock);
@@ -301,8 +244,6 @@ void HelgrindTool::on_free(rt::ThreadId /*tid*/, rt::Addr addr,
 
 rt::ToolStats HelgrindTool::stats() const {
   rt::ToolStats s;
-  s.lockset_cache_hits = lockset_cache_hits_;
-  s.lockset_cache_misses = lockset_cache_misses_;
   s.shadow_tlb_hits = shadow_.tlb_stats().hits;
   s.shadow_tlb_misses = shadow_.tlb_stats().misses;
   return s;

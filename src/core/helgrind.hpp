@@ -23,11 +23,9 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/report.hpp"
 #include "rt/tool.hpp"
-#include "support/assert.hpp"
 #include "shadow/lockset.hpp"
 #include "shadow/segments.hpp"
 #include "shadow/shadow_map.hpp"
@@ -62,12 +60,8 @@ struct HelgrindConfig {
   /// Warning-storm hardening: cap on distinct stored report locations
   /// (ReportManager::set_report_cap). 0 = unlimited.
   std::size_t report_cap = 0;
-  /// Per-thread effective-lockset cache: memoises the four interned
-  /// lockset variants (read/write x bus-locked/plain) between lock events
-  /// instead of re-interning on every access. Pure memoisation — may not
-  /// change any verdict; off only for the equivalence tests.
-  bool lockset_cache = true;
-  /// Shadow-map last-page TLB (same contract: observationally inert).
+  /// Shadow-map last-page TLB. Pure memoisation — may not change any
+  /// verdict; off only for the equivalence tests.
   bool shadow_tlb = true;
 
   /// The three measured configurations of Figs. 5/6.
@@ -108,12 +102,6 @@ class HelgrindTool : public rt::Tool {
                        support::SiteId site) override;
   void on_thread_join(rt::ThreadId joiner, rt::ThreadId joined,
                       support::SiteId site) override;
-  void on_lock_create(rt::LockId lock, support::Symbol name,
-                      bool is_rw) override;
-  void on_post_lock(rt::ThreadId tid, rt::LockId lock, rt::LockMode mode,
-                    support::SiteId site) override;
-  void on_unlock(rt::ThreadId tid, rt::LockId lock,
-                 support::SiteId site) override;
   void on_queue_put(rt::ThreadId tid, rt::SyncId queue, std::uint64_t token,
                     support::SiteId site) override;
   void on_queue_get(rt::ThreadId tid, rt::SyncId queue, std::uint64_t token,
@@ -153,33 +141,12 @@ class HelgrindTool : public rt::Tool {
 
   static const char* state_name(MemState s);
 
-  /// Per-thread memo of the four effective-lockset variants, indexed by
-  /// (for_write, bus_locked). The effective lockset is a pure function of
-  /// the thread's held-lock set, so entries stay valid until the thread's
-  /// next lock/unlock event.
-  struct LocksetCacheEntry {
-    shadow::LocksetId id[4] = {};
-    bool valid[4] = {};
-  };
-
   /// Lockset of `tid` relevant for this access under the configured bus
-  /// lock model. `for_write` selects the Eraser write rule (locks held in
-  /// write mode) vs the read rule (locks held in any mode).
+  /// lock model, built from the runtime's held-lock set and lock kinds.
+  /// `for_write` selects the Eraser write rule (locks held in write mode)
+  /// vs the read rule (locks held in any mode).
   shadow::LocksetId effective_locks(rt::ThreadId tid, bool for_write,
                                     bool bus_locked);
-  shadow::LocksetId compute_effective_locks(rt::ThreadId tid, bool for_write,
-                                            bool bus_locked);
-  void invalidate_lockset_cache(rt::ThreadId tid);
-
-  /// rw flag of a lock, registered by on_lock_create. Dense — lock ids are
-  /// assigned in creation order — so the read path is a bounds-checked
-  /// index and can never insert (the old unordered_map operator[] pattern
-  /// allocated on the hot path).
-  bool is_rw(rt::LockId lock) const {
-    RG_ASSERT_MSG(lock < is_rw_lock_.size(),
-                  "lock used before on_lock_create");
-    return is_rw_lock_[lock] != 0;
-  }
 
   void touch(Cell& cell, const rt::MemoryAccess& access);
   void trace_refinement(const rt::MemoryAccess& access);
@@ -193,13 +160,6 @@ class HelgrindTool : public rt::Tool {
   shadow::ShadowMap<Cell> shadow_;
   /// Pseudo lock id modelling the hardware bus lock.
   rt::LockId bus_lock_ = rt::kNoLock;
-  /// Locks registered as rw, dense by LockId (ignored when !rwlock_api,
-  /// like original Helgrind, which did not intercept pthread_rwlock).
-  std::vector<std::uint8_t> is_rw_lock_;
-  /// Per-thread effective-lockset cache, dense by ThreadId.
-  std::vector<LocksetCacheEntry> lockset_cache_;
-  std::uint64_t lockset_cache_hits_ = 0;
-  std::uint64_t lockset_cache_misses_ = 0;
   /// put/post token -> sender segment (hb_message_passing).
   std::unordered_map<std::uint64_t, shadow::SegmentId> queue_tokens_;
   std::unordered_map<std::uint64_t, shadow::SegmentId> sem_tokens_;

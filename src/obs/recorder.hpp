@@ -275,10 +275,12 @@ class FlightRecorder {
         Slot& s = slots[i];
         if (s.key == addr) return s.id;
         if (s.key == 0) {
+          const std::uint32_t id = next_id++;
           s.key = addr;
-          s.id = next_id++;
+          s.id = id;
+          // grow() frees the table `s` points into: return the copy.
           if (++size * 10 >= slots.size() * 7) grow();
-          return s.id;
+          return id;
         }
         i = (i + 1) & mask;
       }

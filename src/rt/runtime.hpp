@@ -156,7 +156,10 @@ class Runtime {
   const support::small_vector<HeldLock, 4>& held_locks(ThreadId tid) const;
   std::string_view lock_name(LockId lock) const;
   std::size_t lock_count() const { return locks_.size(); }
-  bool lock_is_rw(LockId lock) const { return locks_[lock].is_rw; }
+  bool lock_is_rw(LockId lock) const {
+    RG_ASSERT_MSG(lock < locks_.size(), "lock used before register_lock");
+    return locks_[lock].is_rw;
+  }
 
   // --- other sync objects --------------------------------------------------
   SyncId register_sync(std::string_view name);

@@ -21,6 +21,7 @@ class Runtime;
 
 /// Hot-path cache counters a tool may expose (all zero when a tool has no
 /// such caches). Aggregated across tools by Runtime::tool_stats().
+/// Only the shadow-map TLB still feeds them.
 ///
 /// Every counter must appear in the `fields` table below: aggregation and
 /// metrics export are driven by the table, so a counter missing from it
@@ -28,7 +29,10 @@ class Runtime;
 /// ties the table's length to the struct's size — adding a member without
 /// extending the table no longer compiles.
 struct ToolStats {
-  /// Per-thread effective-lockset cache (Helgrind / EraserBasic).
+  /// Always 0. The per-thread lockset cache these counted was removed
+  /// (locksets are built from Runtime::held_locks on every access); the
+  /// members stay because perfbench/session.cpp reads them, and the
+  /// benchmark changes only on its own.
   std::uint64_t lockset_cache_hits = 0;
   std::uint64_t lockset_cache_misses = 0;
   /// Shadow-map last-page TLB.
@@ -129,7 +133,7 @@ class Tool {
   /// End of the observed execution; tools flush summary state here.
   virtual void on_finish() {}
 
-  /// Cache observability (lockset cache, shadow TLB); defaults to zeros.
+  /// Cache observability (shadow TLB); defaults to zeros.
   virtual ToolStats stats() const { return {}; }
 
   /// Short stable identifier used by the hook profiler and metrics export.

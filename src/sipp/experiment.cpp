@@ -4,7 +4,6 @@
 #include <memory>
 #include <unordered_set>
 
-#include "core/deadlock.hpp"
 #include "obs/contention.hpp"
 #include "obs/span.hpp"
 #include "sip/dispatch.hpp"
@@ -21,7 +20,7 @@ ExperimentResult run_scenario(const Scenario& scenario,
   core::HelgrindTool helgrind(detector_cfg);
   if (!config.suppressions.empty())
     helgrind.reports().load_suppressions(config.suppressions);
-  core::DeadlockTool deadlock;
+  core::LockGraphTool deadlock;
   rt::ChaosEngine chaos(config.chaos);
   const bool use_chaos_client =
       config.chaos_client || config.chaos.any_faults();

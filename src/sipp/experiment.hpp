@@ -115,7 +115,8 @@ struct ExperimentResult {
   rt::SimResult sim;
   std::size_t responses = 0;
   std::size_t lockset_distinct = 0;
-  /// Hot-path counters (lockset cache, shadow TLB) summed over tools.
+  /// Hot-path counters (shadow TLB) summed over tools; the lockset-cache
+  /// members are always 0.
   rt::ToolStats tool_stats;
 
   // --- robustness tier ----------------------------------------------------

@@ -5,7 +5,6 @@
 namespace rg::support {
 
 Interner::Interner() {
-  storage_.reserve(1024);
   Symbol empty = intern("");
   RG_ASSERT(empty == 0);
 }

@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace rg::support {
 
@@ -39,10 +39,12 @@ class Interner {
 
  private:
   mutable std::mutex mu_;
+  // The map's keys and text() hand out views of the stored strings. A
+  // deque never moves its elements on push_back, so the views stay valid;
+  // a vector would move them on growth, and a short string kept inline
+  // (SSO) moves with its owner, leaving every view of it dangling.
   std::unordered_map<std::string_view, Symbol> map_;
-  // std::string contents are heap-allocated, so string_views into them stay
-  // valid as the vector of owners grows.
-  std::vector<std::string> storage_;
+  std::deque<std::string> storage_;
 };
 
 /// Process-wide interner used by the runtime and the detectors.

@@ -1,7 +1,7 @@
-// DeadlockTool — lock-order graph checking.
+// LockGraphTool — lock-order graph checking (the naive tier).
 #include <gtest/gtest.h>
 
-#include "core/deadlock.hpp"
+#include "core/lockgraph.hpp"
 #include "detector_harness.hpp"
 
 namespace rg::core {
@@ -11,7 +11,7 @@ using rg::test::EventHarness;
 using rt::ThreadId;
 
 TEST(DeadlockOrder, ConsistentOrderIsSilent) {
-  DeadlockTool tool;
+  LockGraphTool tool;
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -29,7 +29,7 @@ TEST(DeadlockOrder, ConsistentOrderIsSilent) {
 }
 
 TEST(DeadlockOrder, InversionReported) {
-  DeadlockTool tool;
+  LockGraphTool tool;
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -54,7 +54,7 @@ TEST(DeadlockOrder, InversionReported) {
 }
 
 TEST(DeadlockOrder, ReportedOncePerPair) {
-  DeadlockTool tool;
+  LockGraphTool tool;
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -74,7 +74,7 @@ TEST(DeadlockOrder, ReportedOncePerPair) {
 }
 
 TEST(DeadlockOrder, ThreeLockCycle) {
-  DeadlockTool tool;
+  LockGraphTool tool;
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -95,7 +95,7 @@ TEST(DeadlockOrder, ThreeLockCycle) {
 }
 
 TEST(DeadlockOrder, NestedSameLockIgnored) {
-  DeadlockTool tool;
+  LockGraphTool tool;
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -108,7 +108,7 @@ TEST(DeadlockOrder, NestedSameLockIgnored) {
 }
 
 TEST(DeadlockOrder, ChainWithoutCycleIsFine) {
-  DeadlockTool tool;
+  LockGraphTool tool;
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");

@@ -82,28 +82,34 @@ TEST(EraserBasic, ReadWarningsCanBeDisabled) {
 
 TEST(EraserBasic, RwRuleFromOriginalPaper) {
   // "An extension for read-write locks that is presented in the original
-  // Eraser algorithm is not implemented in Helgrind" — here it is.
-  EraserBasicConfig cfg;
-  cfg.rw_rule = true;
-  EraserBasicTool tool(cfg);
-  EventHarness h;
-  h.attach(tool);
-  const ThreadId main = h.thread("main");
-  const ThreadId t1 = h.thread("t1");
-  const auto rw = h.lock("rw", true);
-  // Writers in write mode, readers in read mode: fine.
-  h.acquire(main, rw, LockMode::Exclusive);
-  h.write(main, kAddr);
-  h.release(main, rw);
-  h.acquire(t1, rw, LockMode::Shared);
-  h.read(t1, kAddr);
-  h.release(t1, rw);
-  EXPECT_EQ(tool.reports().distinct_locations(), 0u);
-  // A write under only the read lock violates the discipline.
-  h.acquire(t1, rw, LockMode::Shared);
-  h.write(t1, kAddr);
-  h.release(t1, rw);
-  EXPECT_EQ(tool.reports().distinct_locations(), 1u);
+  // Eraser algorithm is not implemented in Helgrind" — here it is. The
+  // lock is also registered before the tool attaches, so the tool never
+  // sees its on_lock_create.
+  for (bool lock_first : {false, true}) {
+    SCOPED_TRACE(lock_first ? "lock before attach" : "lock after attach");
+    EraserBasicConfig cfg;
+    cfg.rw_rule = true;
+    EraserBasicTool tool(cfg);
+    EventHarness h;
+    if (!lock_first) h.attach(tool);
+    const auto rw = h.lock("rw", true);
+    if (lock_first) h.attach(tool);
+    const ThreadId main = h.thread("main");
+    const ThreadId t1 = h.thread("t1");
+    // Writers in write mode, readers in read mode: fine.
+    h.acquire(main, rw, LockMode::Exclusive);
+    h.write(main, kAddr);
+    h.release(main, rw);
+    h.acquire(t1, rw, LockMode::Shared);
+    h.read(t1, kAddr);
+    h.release(t1, rw);
+    EXPECT_EQ(tool.reports().distinct_locations(), 0u);
+    // A write under only the read lock violates the discipline.
+    h.acquire(t1, rw, LockMode::Shared);
+    h.write(t1, kAddr);
+    h.release(t1, rw);
+    EXPECT_EQ(tool.reports().distinct_locations(), 1u);
+  }
 }
 
 TEST(EraserBasic, WithoutRwRuleReadLockCountsForWrites) {

@@ -446,25 +446,32 @@ TEST(Allocation, ReuseWithoutFreeEventsKeepsStaleState) {
 
 // --- rwlock API (HWLC by-product) ---------------------------------------------------
 
+// The rw tests also register the lock before the tool attaches: the tool
+// then never sees its on_lock_create, and the kind must come from the
+// runtime.
+
 TEST(RwLockApi, ReadersUnderRwLockAreSilent) {
-  HelgrindConfig cfg = HelgrindConfig::hwlc();
-  HelgrindTool tool(cfg);
-  EventHarness h;
-  h.attach(tool);
-  const ThreadId main = h.thread("main");
-  const ThreadId a = h.thread("a");
-  const ThreadId b = h.thread("b");
-  const auto rw = h.lock("rw", /*rw=*/true);
-  h.acquire(main, rw, LockMode::Exclusive);
-  h.write(main, kAddr);
-  h.release(main, rw);
-  h.acquire(a, rw, LockMode::Shared);
-  h.read(a, kAddr);
-  h.release(a, rw);
-  h.acquire(b, rw, LockMode::Exclusive);
-  h.write(b, kAddr);
-  h.release(b, rw);
-  EXPECT_EQ(races(tool), 0u);
+  for (bool lock_first : {false, true}) {
+    SCOPED_TRACE(lock_first ? "lock before attach" : "lock after attach");
+    HelgrindTool tool(HelgrindConfig::hwlc());
+    EventHarness h;
+    if (!lock_first) h.attach(tool);
+    const auto rw = h.lock("rw", /*rw=*/true);
+    if (lock_first) h.attach(tool);
+    const ThreadId main = h.thread("main");
+    const ThreadId a = h.thread("a");
+    const ThreadId b = h.thread("b");
+    h.acquire(main, rw, LockMode::Exclusive);
+    h.write(main, kAddr);
+    h.release(main, rw);
+    h.acquire(a, rw, LockMode::Shared);
+    h.read(a, kAddr);
+    h.release(a, rw);
+    h.acquire(b, rw, LockMode::Exclusive);
+    h.write(b, kAddr);
+    h.release(b, rw);
+    EXPECT_EQ(races(tool), 0u);
+  }
 }
 
 TEST(RwLockApi, WriteUnderReadLockWarns) {
@@ -492,19 +499,23 @@ TEST(RwLockApi, WriteUnderReadLockWarns) {
 TEST(RwLockApi, OriginalToolIsBlindToRwLocks) {
   // Original Helgrind did not intercept pthread_rwlock: rw-guarded data
   // looks unguarded.
-  HelgrindTool tool(HelgrindConfig::original());
-  EventHarness h;
-  h.attach(tool);
-  const ThreadId main = h.thread("main");
-  const ThreadId a = h.thread("a");
-  const ThreadId b = h.thread("b");
-  const auto rw = h.lock("rw", /*rw=*/true);
-  for (ThreadId t : {main, a, b}) {
-    h.acquire(t, rw, LockMode::Exclusive);
-    h.write(t, kAddr);
-    h.release(t, rw);
+  for (bool lock_first : {false, true}) {
+    SCOPED_TRACE(lock_first ? "lock before attach" : "lock after attach");
+    HelgrindTool tool(HelgrindConfig::original());
+    EventHarness h;
+    if (!lock_first) h.attach(tool);
+    const auto rw = h.lock("rw", /*rw=*/true);
+    if (lock_first) h.attach(tool);
+    const ThreadId main = h.thread("main");
+    const ThreadId a = h.thread("a");
+    const ThreadId b = h.thread("b");
+    for (ThreadId t : {main, a, b}) {
+      h.acquire(t, rw, LockMode::Exclusive);
+      h.write(t, kAddr);
+      h.release(t, rw);
+    }
+    EXPECT_EQ(races(tool), 1u);  // false positive of the original tool
   }
-  EXPECT_EQ(races(tool), 1u);  // false positive of the original tool
 }
 
 // --- message-passing extension (§5 future work) --------------------------------------

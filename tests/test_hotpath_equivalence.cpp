@@ -1,6 +1,5 @@
-// Hot-path equivalence regression: the per-event optimizations (per-thread
-// lockset cache, shadow-page TLB, scheduler no-switch fast path) and the
-// parallel experiment harness are pure mechanism — none of them may change
+// Hot-path equivalence regression: the per-event optimizations (shadow-page
+// TLB, scheduler no-switch fast path) and the parallel experiment harness are pure mechanism — none of them may change
 // a single scheduling decision or reported warning. This suite runs the
 // real proxy workload with everything on vs everything off and demands
 // identical results, and checks the pooled Fig. 6 harness against the
@@ -20,7 +19,6 @@ sipp::ExperimentConfig cached_config(std::uint64_t seed, bool optimized) {
   sipp::ExperimentConfig cfg;
   cfg.seed = seed;
   cfg.detector = core::HelgrindConfig::hwlc_dr();
-  cfg.detector.lockset_cache = optimized;
   cfg.detector.shadow_tlb = optimized;
   cfg.sched_fast_path = optimized;
   return cfg;
@@ -55,10 +53,8 @@ TEST_P(HotpathEquivalence, CachedDetectorMatchesUncached) {
 
     // The optimized run actually exercised its fast paths.
     EXPECT_GT(fast.sim.fast_path_steps, 0u) << scenario.name;
-    EXPECT_GT(fast.tool_stats.lockset_cache_hits, 0u) << scenario.name;
     EXPECT_GT(fast.tool_stats.shadow_tlb_hits, 0u) << scenario.name;
     EXPECT_EQ(slow.sim.fast_path_steps, 0u) << scenario.name;
-    EXPECT_EQ(slow.tool_stats.lockset_cache_hits, 0u) << scenario.name;
     EXPECT_EQ(slow.tool_stats.shadow_tlb_hits, 0u) << scenario.name;
   }
 }

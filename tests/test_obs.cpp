@@ -122,6 +122,21 @@ TEST(FlightRecorder, IdentityOverridesRawAddressNormalisation) {
   EXPECT_EQ(reuse.hash(), fresh.hash());
 }
 
+TEST(FlightRecorder, DenseIdsSurviveAddressMapGrowth) {
+  // ~12k distinct addresses grow the first-appearance map several times;
+  // the id handed out by the insert that triggers a growth must still be
+  // the new one.
+  RecorderConfig cfg;
+  cfg.capacity = 1u << 15;
+  FlightRecorder rec(cfg);
+  constexpr std::uint64_t kAddrs = 12000;
+  for (std::uint64_t i = 0; i < kAddrs; ++i)
+    rec.record(EventKind::Access, i, 0, 0x100000 + 16 * i, 8);
+  const std::vector<Event> e = rec.snapshot();
+  ASSERT_EQ(e.size(), kAddrs);
+  for (std::size_t i = 0; i < e.size(); ++i) ASSERT_EQ(e[i].norm, i + 1) << i;
+}
+
 TEST(FlightRecorder, NonAddressKindsCarryNoNorm) {
   FlightRecorder rec;
   rec.record(EventKind::SchedSwitch, 0, 1, 0, 0);

@@ -28,8 +28,8 @@ struct ProgramSpec {
   int ops_per_thread = 30;
   bool disciplined = false;  // every access under the one global lock
   std::uint64_t program_seed = 1;
-  /// Hot-path optimizations (lockset cache, shadow TLB, scheduler fast
-  /// path). Must be invisible: verdicts identical on or off.
+  /// Hot-path optimizations (shadow TLB, scheduler fast path). Must be
+  /// invisible: verdicts identical on or off.
   bool optimized = true;
 };
 
@@ -45,11 +45,9 @@ struct RunResult {
 /// unlocked reads/writes over four shared cells.
 RunResult run_program(const ProgramSpec& spec, std::uint64_t sched_seed) {
   core::HelgrindConfig helgrind_cfg = core::HelgrindConfig::original();
-  helgrind_cfg.lockset_cache = spec.optimized;
   helgrind_cfg.shadow_tlb = spec.optimized;
   core::HelgrindTool helgrind(helgrind_cfg);
   core::EraserBasicConfig eraser_cfg;
-  eraser_cfg.lockset_cache = spec.optimized;
   eraser_cfg.shadow_tlb = spec.optimized;
   core::EraserBasicTool eraser(eraser_cfg);
 
@@ -137,8 +135,8 @@ TEST_P(RandomPrograms, RefinementsOnlyRemoveWarnings) {
 }
 
 TEST_P(RandomPrograms, OptimizationsAreInvisible) {
-  // The lockset cache, shadow TLB and scheduler fast path are pure
-  // memoisation: with all three disabled the same program under the same
+  // The shadow TLB and scheduler fast path are pure memoisation: with
+  // both disabled the same program under the same
   // schedule seed must take the same number of steps and produce the same
   // warning keys from both detectors.
   ProgramSpec spec;

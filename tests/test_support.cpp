@@ -41,12 +41,21 @@ TEST(Interner, TextRoundTrips) {
 }
 
 TEST(Interner, ViewsSurviveGrowth) {
+  // Short names fit in std::string's inline (SSO) buffer, so their bytes
+  // live inside the storage element itself: growth must not move them.
   Interner interner;
   const Symbol first = interner.intern("first");
   const std::string_view view = interner.text(first);
-  for (int i = 0; i < 1000; ++i) interner.intern("filler" + std::to_string(i));
+  constexpr int kNames = 5000;
+  std::vector<Symbol> syms;
+  for (int i = 0; i < kNames; ++i)
+    syms.push_back(interner.intern("n" + std::to_string(i)));
   EXPECT_EQ(view, "first");
   EXPECT_EQ(interner.text(first), "first");
+  for (int i = 0; i < kNames; ++i) {
+    EXPECT_EQ(interner.intern("n" + std::to_string(i)), syms[i]) << i;
+    EXPECT_EQ(interner.text(syms[i]), "n" + std::to_string(i)) << i;
+  }
 }
 
 TEST(Interner, SizeCountsDistinct) {

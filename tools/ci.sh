@@ -2,7 +2,7 @@
 # Tier-1 CI: regular build + full test suite, then an ASan+UBSan build.
 #
 # Usage: tools/ci.sh [--fast] [--bench] [--soak] [--trace] [--deadlock]
-#                    [--obs]
+#                    [--obs] [--perfbench]
 #   --fast   skip the chaos-labelled tests in the sanitizer pass (they run
 #            the full fault-injection scenarios and dominate its runtime)
 #   --bench  additionally run the bench-labelled smoke tests against the
@@ -18,6 +18,11 @@
 #            bench smoke gate, and a span-traced rg-debug run whose
 #            Chrome trace (spans + flows), span summary and contention
 #            matrix are round-trip validated and replay-compared
+#   --perfbench  additionally build the benchmark (perfbench/) and run
+#            each gated workload for 1 s; fails unless the result line
+#            reports "correct": true and "failed": 0, i.e. the benchmark
+#            still compiles against src/ and every output matches its
+#            reference digest
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,6 +33,7 @@ SOAK=0
 TRACE=0
 DEADLOCK=0
 OBS=0
+PERFBENCH=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
@@ -36,6 +42,7 @@ for arg in "$@"; do
     --trace) TRACE=1 ;;
     --deadlock) DEADLOCK=1 ;;
     --obs) OBS=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
@@ -127,6 +134,23 @@ fi
 if [[ "$DEADLOCK" == 1 ]]; then
   echo "== deadlock: hazard prediction + replay oracle + recovery soak =="
   ctest --preset deadlock
+fi
+
+if [[ "$PERFBENCH" == 1 ]]; then
+  echo "== perfbench: build + reference digests per gated workload =="
+  for workload in fig6-sweep chaos-soak-observed; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
+      | tail -n 1)
+    python3 - "$workload" "$result" <<'PY'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"perfbench {workload}: correct={result.get('correct')} "
+             f"failed={result.get('failed')}")
+print(f"perfbench {workload} OK: {result['attempted']} ops, all correct")
+PY
+  done
 fi
 
 echo "== sanitize: ASan + UBSan build + ctest =="
