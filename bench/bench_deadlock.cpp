@@ -14,29 +14,29 @@
 // and fails (exit 1) if the lockgraph run is more than 5% slower than the
 // tool-off baseline, if attaching the tool changed the data-race warnings
 // or the response stream, or if same-seed prediction runs disagree on the
-// predicted cycles. Timing is best-of-rounds, interleaved so machine noise
-// hits both sides.
-#include <chrono>
+// predicted cycles. Timing is the process CPU time of each run, interleaved
+// round by round; the overhead is the median over rounds of the tool-on /
+// tool-off ratio, so a spell of host noise moves both sides of a ratio.
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "sipp/experiment.hpp"
 #include "sipp/hazards.hpp"
 #include "sipp/testcases.hpp"
 #include "support/bench_json.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 double run_once(const rg::sipp::Scenario& scenario,
                 const rg::sipp::ExperimentConfig& cfg,
                 rg::sipp::ExperimentResult& out) {
-  const auto start = Clock::now();
+  const double start = rg::support::process_cpu_seconds();
   out = rg::sipp::run_scenario(scenario, cfg);
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return rg::support::process_cpu_seconds() - start;
 }
 
 bool same_run(const rg::sipp::ExperimentResult& a,
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     else
       seed = std::strtoull(argv[i], nullptr, 10);
   }
-  const int rounds = smoke ? 10 : 15;
+  const int rounds = smoke ? 80 : 120;
 
   sipp::ExperimentConfig base;
   base.seed = seed;
@@ -91,15 +91,15 @@ int main(int argc, char** argv) {
               scenario.name.c_str(), static_cast<unsigned long long>(seed),
               smoke ? " (smoke)" : "");
 
-  double t_base = 1e300, t_tool = 1e300, t_hz = 1e300;
+  std::vector<double> t_base, t_tool, t_hz;
   sipp::ExperimentResult r_base, r_tool, r_hz;
   bool deterministic = true;
   std::size_t first_predicted = 0;
   std::uint64_t first_edges = 0;
   for (int i = 0; i < rounds; ++i) {
-    t_base = std::min(t_base, run_once(scenario, base, r_base));
-    t_tool = std::min(t_tool, run_once(scenario, tool, r_tool));
-    t_hz = std::min(t_hz, run_once(hz_scenario, hz_cfg, r_hz));
+    t_base.push_back(run_once(scenario, base, r_base));
+    t_tool.push_back(run_once(scenario, tool, r_tool));
+    t_hz.push_back(run_once(hz_scenario, hz_cfg, r_hz));
     if (i == 0) {
       first_predicted = r_hz.predicted_cycles.size();
       first_edges = r_tool.lockgraph.edges;
@@ -109,21 +109,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double tool_overhead = t_tool / t_base - 1.0;
+  const double tool_overhead = support::median_ratio(t_tool, t_base) - 1.0;
+  const double m_base = support::percentile(t_base, 50.0);
+  const double m_tool = support::percentile(t_tool, 50.0);
+  const double m_hz = support::percentile(t_hz, 50.0);
   const bool runs_equal = same_run(r_base, r_tool);
 
-  support::Table table("time per run [s], best of " +
-                       std::to_string(rounds));
+  support::Table table("CPU time per run [s], median of " +
+                       std::to_string(rounds) +
+                       " rounds; overhead = median per-round ratio");
   table.header({"variant", "time", "overhead", "edges", "predicted"});
   char t_s[32], o_s[32];
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_base);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_base);
   table.row("baseline (tool off)", t_s, "", "", "");
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_tool);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_tool);
   std::snprintf(o_s, sizeof o_s, "%+.1f%%", 100.0 * tool_overhead);
   table.row("lock-graph tool", t_s, o_s,
             std::to_string(r_tool.lockgraph.edges),
             std::to_string(r_tool.predicted_cycles.size()));
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_hz);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_hz);
   table.row("+ seeded inversion (info)", t_s, "",
             std::to_string(r_hz.lockgraph.edges),
             std::to_string(r_hz.predicted_cycles.size()));
@@ -140,9 +144,9 @@ int main(int argc, char** argv) {
   json.add("smoke", smoke ? "true" : "false");
   json.add("workload", scenario.name);
   json.add("rounds", rounds);
-  json.add("baseline_s", t_base);
-  json.add("lockgraph_s", t_tool);
-  json.add("hazard_s", t_hz);
+  json.add("baseline_s", m_base);
+  json.add("lockgraph_s", m_tool);
+  json.add("hazard_s", m_hz);
   json.add("lockgraph_overhead", tool_overhead);
   json.add("edges", r_tool.lockgraph.edges);
   json.add("naive_inversions", r_tool.lock_order_reports);

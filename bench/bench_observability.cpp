@@ -21,11 +21,13 @@
 // reported warning, or if two same-seed runs are not bit-identical
 // (stream hash and Chrome trace JSON; span summary and contention matrix
 // JSON for the causal variant).
-// Timing is best-of-rounds, interleaved so machine noise hits both sides.
-#include <chrono>
+// Timing is the process CPU time of each run, interleaved round by round;
+// an overhead is the median over rounds of the variant / reference ratio,
+// so a spell of host noise moves both sides of a ratio, not one best case.
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "obs/contention.hpp"
 #include "obs/metrics.hpp"
@@ -35,18 +37,17 @@
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
 #include "support/bench_json.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 double run_once(const rg::sipp::Scenario& scenario,
                 const rg::sipp::ExperimentConfig& cfg,
                 rg::sipp::ExperimentResult& out) {
-  const auto start = Clock::now();
+  const double start = rg::support::process_cpu_seconds();
   out = rg::sipp::run_scenario(scenario, cfg);
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return rg::support::process_cpu_seconds() - start;
 }
 
 bool same_reports(const rg::sipp::ExperimentResult& a,
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
     else
       seed = std::strtoull(argv[i], nullptr, 10);
   }
-  const int rounds = smoke ? 10 : 15;
+  const int rounds = smoke ? 80 : 120;
 
   sipp::ExperimentConfig base;
   base.seed = seed;
@@ -80,9 +81,9 @@ int main(int argc, char** argv) {
               scenario.name.c_str(), static_cast<unsigned long long>(seed),
               smoke ? " (smoke)" : "");
 
-  // Interleave the variants round by round: best-of under shared noise.
-  double t_base = 1e300, t_rec = 1e300, t_met = 1e300, t_span = 1e300,
-         t_full = 1e300;
+  // Interleave the variants round by round so each round's runs share the
+  // host's state; the overheads pair them up per round.
+  std::vector<double> t_base, t_rec, t_met, t_span, t_full;
   sipp::ExperimentResult r_base, r_rec, r_met, r_span, r_full;
   std::uint64_t first_hash = 0;
   std::string first_trace;
@@ -91,12 +92,12 @@ int main(int argc, char** argv) {
   bool deterministic = true;
   bool spans_deterministic = true;
   for (int i = 0; i < rounds; ++i) {
-    t_base = std::min(t_base, run_once(scenario, base, r_base));
+    t_base.push_back(run_once(scenario, base, r_base));
 
     obs::FlightRecorder recorder;
     sipp::ExperimentConfig cfg = base;
     cfg.recorder = &recorder;
-    t_rec = std::min(t_rec, run_once(scenario, cfg, r_rec));
+    t_rec.push_back(run_once(scenario, cfg, r_rec));
     if (i == 0) {
       first_hash = r_rec.recorder_hash;
       first_trace = recorder.chrome_trace_json();
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry metrics;
     cfg.recorder = &recorder2;
     cfg.metrics = &metrics;
-    t_met = std::min(t_met, run_once(scenario, cfg, r_met));
+    t_met.push_back(run_once(scenario, cfg, r_met));
     cfg.metrics = nullptr;
 
     // The causal layer: spans + contention over a bare recorder. Gated
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
     cfg.recorder = &recorder4;
     cfg.spans = &spans;
     cfg.contention = &contention;
-    t_span = std::min(t_span, run_once(scenario, cfg, r_span));
+    t_span.push_back(run_once(scenario, cfg, r_span));
     if (i == 0) {
       first_span_hash = r_span.recorder_hash;
       first_spans = spans.json();
@@ -141,37 +142,44 @@ int main(int argc, char** argv) {
     cfg.recorder = &recorder3;
     cfg.metrics = &metrics2;
     cfg.profiler = &profiler;
-    t_full = std::min(t_full, run_once(scenario, cfg, r_full));
+    t_full.push_back(run_once(scenario, cfg, r_full));
   }
 
-  const double rec_overhead = t_rec / t_base - 1.0;
-  const double met_overhead = t_met / t_base - 1.0;
-  const double span_overhead = t_span / t_rec - 1.0;  // marginal, vs recorder
-  const double full_overhead = t_full / t_base - 1.0;
+  const double rec_overhead = support::median_ratio(t_rec, t_base) - 1.0;
+  const double met_overhead = support::median_ratio(t_met, t_base) - 1.0;
+  // Marginal, vs recorder.
+  const double span_overhead = support::median_ratio(t_span, t_rec) - 1.0;
+  const double full_overhead = support::median_ratio(t_full, t_base) - 1.0;
+  const double m_base = support::percentile(t_base, 50.0);
+  const double m_rec = support::percentile(t_rec, 50.0);
+  const double m_met = support::percentile(t_met, 50.0);
+  const double m_span = support::percentile(t_span, 50.0);
+  const double m_full = support::percentile(t_full, 50.0);
   const bool reports_equal = same_reports(r_base, r_rec) &&
                              same_reports(r_base, r_met) &&
                              same_reports(r_base, r_span) &&
                              same_reports(r_base, r_full);
 
-  support::Table table("time per run [s], best of " +
-                       std::to_string(rounds));
+  support::Table table("CPU time per run [s], median of " +
+                       std::to_string(rounds) +
+                       " rounds; overhead = median per-round ratio");
   table.header({"variant", "time", "overhead", "events"});
   char t_s[32], o_s[32];
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_base);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_base);
   table.row("baseline (obs off)", t_s, "", "");
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_rec);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_rec);
   std::snprintf(o_s, sizeof o_s, "%+.1f%%", 100.0 * rec_overhead);
   table.row("flight recorder", t_s, o_s,
             std::to_string(r_rec.recorder_events));
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_met);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_met);
   std::snprintf(o_s, sizeof o_s, "%+.1f%%", 100.0 * met_overhead);
   table.row("recorder+metrics", t_s, o_s,
             std::to_string(r_met.recorder_events));
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_span);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_span);
   std::snprintf(o_s, sizeof o_s, "%+.1f%% vs rec", 100.0 * span_overhead);
   table.row("recorder+spans+contention", t_s, o_s,
             std::to_string(r_span.recorder_events));
-  std::snprintf(t_s, sizeof t_s, "%.4f", t_full);
+  std::snprintf(t_s, sizeof t_s, "%.4f", m_full);
   std::snprintf(o_s, sizeof o_s, "%+.1f%%", 100.0 * full_overhead);
   table.row("+ hook profiler (Fig. 5)", t_s, o_s,
             std::to_string(r_full.recorder_events));
@@ -194,11 +202,11 @@ int main(int argc, char** argv) {
   json.add("smoke", smoke ? "true" : "false");
   json.add("workload", scenario.name);
   json.add("rounds", rounds);
-  json.add("baseline_s", t_base);
-  json.add("recorder_s", t_rec);
-  json.add("recorder_metrics_s", t_met);
-  json.add("spans_contention_s", t_span);
-  json.add("full_s", t_full);
+  json.add("baseline_s", m_base);
+  json.add("recorder_s", m_rec);
+  json.add("recorder_metrics_s", m_met);
+  json.add("spans_contention_s", m_span);
+  json.add("full_s", m_full);
   json.add("recorder_overhead", rec_overhead);
   json.add("recorder_metrics_overhead", met_overhead);
   json.add("spans_contention_overhead_vs_recorder", span_overhead);
@@ -216,8 +224,8 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   // The contract gate is 5% on the full run; the smoke gate gets 2x
-  // headroom because best-of-10 on a ~4ms workload still carries a few
-  // percent of timer noise.
+  // headroom because the median of 80 paired ratios on a ~5ms workload
+  // still carries a few percent of noise.
   const double budget = smoke ? 0.10 : 0.05;
   if (rec_overhead > budget) {
     std::printf("OVERHEAD VIOLATION: recorder run %.1f%% over the "

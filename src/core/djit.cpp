@@ -128,12 +128,7 @@ void DjitTool::on_access(const rt::MemoryAccess& a) {
 
 void DjitTool::report_race(Cell& cell, const rt::MemoryAccess& a,
                            const char* vs, support::SiteId other_site) {
-  Report r;
-  r.kind = Report::Kind::DataRace;
-  r.access = a;
-  r.stack = rt_->stack_of(a.thread);
-  r.stack.insert(r.stack.begin(), a.site);
-  r.origin = rt_->origin_of(a.addr);
+  Report r = make_report(*rt_, Report::Kind::DataRace, a);
   r.prev_state = std::string("unordered with ") + vs;
   if (other_site != support::kUnknownSite)
     r.extra = "conflicting access at " +

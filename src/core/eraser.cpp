@@ -29,12 +29,7 @@ void EraserBasicTool::on_access(const rt::MemoryAccess& a) {
     cell.lockset = locksets_.intersect(cell.lockset, held_id);
     if (!locksets_.empty(cell.lockset)) return;
     if (!is_write && !config_.warn_on_reads) return;
-    Report r;
-    r.kind = Report::Kind::DataRace;
-    r.access = a;
-    r.stack = rt_->stack_of(a.thread);
-    r.stack.insert(r.stack.begin(), a.site);
-    r.origin = rt_->origin_of(a.addr);
+    Report r = make_report(*rt_, Report::Kind::DataRace, a);
     r.prev_state = "lockset emptied (no state machine)";
     r.lockset_desc = "{}";
     reports_.add(std::move(r));

@@ -1,7 +1,6 @@
 #include "core/helgrind.hpp"
 
 #include "obs/recorder.hpp"
-#include "obs/span.hpp"
 #include "rt/runtime.hpp"
 
 namespace rg::core {
@@ -202,12 +201,10 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
 
 void HelgrindTool::warn(Cell& cell, const rt::MemoryAccess& a,
                         MemState prev_state, shadow::LocksetId prev_lockset) {
-  Report r;
-  r.kind = Report::Kind::DataRace;
-  r.access = a;
-  r.stack = rt_->stack_of(a.thread);
-  r.stack.insert(r.stack.begin(), a.site);
-  r.origin = rt_->origin_of(a.addr);
+  // Recorded first so the report's cursor covers the warning event.
+  rt_->trace_addr(obs::EventKind::DetectorWarning, a.thread, a.addr,
+                  reports_.distinct_locations(), a.site);
+  Report r = make_report(*rt_, Report::Kind::DataRace, a);
   r.prev_state = state_name(prev_state);
   if (prev_lockset == shadow::kEmptyLockset) {
     r.prev_state += ", no locks";
@@ -215,17 +212,6 @@ void HelgrindTool::warn(Cell& cell, const rt::MemoryAccess& a,
     r.prev_state += ", lockset " + locksets_.describe(prev_lockset, *rt_);
   }
   r.lockset_desc = "{}";
-  if (obs::FlightRecorder* fr = rt_->recorder(); fr != nullptr) {
-    rt_->trace_addr(obs::EventKind::DetectorWarning, a.thread, a.addr,
-                    reports_.distinct_locations(), a.site);
-    r.recorder_cursor = fr->cursor();
-  }
-  if (obs::SpanTracker* st = obs::ambient_spans(); st != nullptr) {
-    // Causal attribution: the transaction whose span was active on the
-    // racing thread when the lockset emptied.
-    r.trace_id = st->active_trace(a.thread);
-    r.span_id = st->active_span(a.thread);
-  }
   reports_.add(std::move(r));
   cell.reported = true;
 }

@@ -1,143 +1,24 @@
 #include "core/hybrid.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 namespace rg::core {
 
-HybridTool::HybridTool(const HybridConfig& config)
-    : lockset_(config.lockset), hb_(config.hb) {}
-
-void HybridTool::on_attach(rt::Runtime& rt) {
-  Tool::on_attach(rt);
-  lockset_.on_attach(rt);
-  hb_.on_attach(rt);
-}
-
-void HybridTool::on_thread_start(rt::ThreadId tid, rt::ThreadId parent,
-                                 support::SiteId site) {
-  lockset_.on_thread_start(tid, parent, site);
-  hb_.on_thread_start(tid, parent, site);
-}
-
-void HybridTool::on_thread_exit(rt::ThreadId tid) {
-  lockset_.on_thread_exit(tid);
-  hb_.on_thread_exit(tid);
-}
-
-void HybridTool::on_thread_join(rt::ThreadId joiner, rt::ThreadId joined,
-                                support::SiteId site) {
-  lockset_.on_thread_join(joiner, joined, site);
-  hb_.on_thread_join(joiner, joined, site);
-}
-
-void HybridTool::on_lock_create(rt::LockId lock, support::Symbol name,
-                                bool is_rw) {
-  lockset_.on_lock_create(lock, name, is_rw);
-  hb_.on_lock_create(lock, name, is_rw);
-}
-
-void HybridTool::on_lock_destroy(rt::LockId lock) {
-  lockset_.on_lock_destroy(lock);
-  hb_.on_lock_destroy(lock);
-}
-
-void HybridTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
-                             rt::LockMode mode, support::SiteId site) {
-  lockset_.on_pre_lock(tid, lock, mode, site);
-  hb_.on_pre_lock(tid, lock, mode, site);
-}
-
-void HybridTool::on_post_lock(rt::ThreadId tid, rt::LockId lock,
-                              rt::LockMode mode, support::SiteId site) {
-  lockset_.on_post_lock(tid, lock, mode, site);
-  hb_.on_post_lock(tid, lock, mode, site);
-}
-
-void HybridTool::on_unlock(rt::ThreadId tid, rt::LockId lock,
-                           support::SiteId site) {
-  lockset_.on_unlock(tid, lock, site);
-  hb_.on_unlock(tid, lock, site);
-}
-
-void HybridTool::on_cond_signal(rt::ThreadId tid, rt::SyncId cond,
-                                support::SiteId site) {
-  lockset_.on_cond_signal(tid, cond, site);
-  hb_.on_cond_signal(tid, cond, site);
-}
-
-void HybridTool::on_cond_wait_return(rt::ThreadId tid, rt::SyncId cond,
-                                     rt::LockId lock, support::SiteId site) {
-  lockset_.on_cond_wait_return(tid, cond, lock, site);
-  hb_.on_cond_wait_return(tid, cond, lock, site);
-}
-
-void HybridTool::on_sem_post(rt::ThreadId tid, rt::SyncId sem,
-                             std::uint64_t token, support::SiteId site) {
-  lockset_.on_sem_post(tid, sem, token, site);
-  hb_.on_sem_post(tid, sem, token, site);
-}
-
-void HybridTool::on_sem_wait_return(rt::ThreadId tid, rt::SyncId sem,
-                                    std::uint64_t token,
-                                    support::SiteId site) {
-  lockset_.on_sem_wait_return(tid, sem, token, site);
-  hb_.on_sem_wait_return(tid, sem, token, site);
-}
-
-void HybridTool::on_queue_put(rt::ThreadId tid, rt::SyncId queue,
-                              std::uint64_t token, support::SiteId site) {
-  lockset_.on_queue_put(tid, queue, token, site);
-  hb_.on_queue_put(tid, queue, token, site);
-}
-
-void HybridTool::on_queue_get(rt::ThreadId tid, rt::SyncId queue,
-                              std::uint64_t token, support::SiteId site) {
-  lockset_.on_queue_get(tid, queue, token, site);
-  hb_.on_queue_get(tid, queue, token, site);
-}
-
-void HybridTool::on_access(const rt::MemoryAccess& access) {
-  lockset_.on_access(access);
-  hb_.on_access(access);
-}
-
-void HybridTool::on_alloc(rt::ThreadId tid, rt::Addr addr, std::uint32_t size,
-                          support::SiteId site) {
-  lockset_.on_alloc(tid, addr, size, site);
-  hb_.on_alloc(tid, addr, size, site);
-}
-
-void HybridTool::on_free(rt::ThreadId tid, rt::Addr addr, std::uint32_t size,
-                         support::SiteId site) {
-  lockset_.on_free(tid, addr, size, site);
-  hb_.on_free(tid, addr, size, site);
-}
-
-void HybridTool::on_destruct_annotation(rt::ThreadId tid, rt::Addr addr,
-                                        std::uint32_t size,
-                                        support::SiteId site) {
-  lockset_.on_destruct_annotation(tid, addr, size, site);
-  hb_.on_destruct_annotation(tid, addr, size, site);
-}
-
-void HybridTool::on_finish() {
-  lockset_.on_finish();
-  hb_.on_finish();
-
-  // Join the two report sets by allocation-origin site: the lockset pass
-  // proposes, the happens-before pass confirms. Keys use the access site,
-  // which generally differs between the two tools (they fire at different
-  // accesses), so confirmation matches on the accessed object instead.
+HybridReport merge_hybrid(const ReportManager& lockset,
+                          const ReportManager& hb) {
+  // Keys use the access site, which generally differs between the two
+  // tools (they fire at different accesses), so confirmation matches on
+  // the accessed object instead: its allocation base when known.
+  auto object_of = [](const Report& r) -> std::uint64_t {
+    return r.origin.known ? r.origin.alloc.base : r.access.addr;
+  };
   std::unordered_set<std::uint64_t> hb_objects;
-  for (const Report& r : hb_.reports().reports())
-    hb_objects.insert(r.origin.known ? r.origin.alloc.base : r.access.addr);
+  for (const Report& r : hb.reports()) hb_objects.insert(object_of(r));
 
+  HybridReport out;
   std::unordered_set<std::uint64_t> lockset_objects;
-  verdicts_.clear();
-  for (const Report& r : lockset_.reports().reports()) {
-    const std::uint64_t obj =
-        r.origin.known ? r.origin.alloc.base : r.access.addr;
+  for (const Report& r : lockset.reports()) {
+    const std::uint64_t obj = object_of(r);
     lockset_objects.insert(obj);
     HybridVerdict v;
     v.report = r;
@@ -145,36 +26,19 @@ void HybridTool::on_finish() {
     v.report.extra = v.confirmed
                          ? "hybrid: confirmed by happens-before ordering"
                          : "hybrid: lockset only (order-dependent candidate)";
-    verdicts_.push_back(std::move(v));
+    ++(v.confirmed ? out.confirmed : out.possible);
+    out.verdicts.push_back(std::move(v));
   }
-  for (const Report& r : hb_.reports().reports()) {
-    const std::uint64_t obj =
-        r.origin.known ? r.origin.alloc.base : r.access.addr;
-    if (lockset_objects.contains(obj)) continue;
+  for (const Report& r : hb.reports()) {
+    if (lockset_objects.contains(object_of(r))) continue;
     HybridVerdict v;
     v.report = r;
     v.hb_only = true;
     v.report.extra = "hybrid: happens-before only (lockset discipline held)";
-    verdicts_.push_back(std::move(v));
+    ++out.hb_only;
+    out.verdicts.push_back(std::move(v));
   }
-}
-
-std::size_t HybridTool::confirmed_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(verdicts_.begin(), verdicts_.end(),
-                    [](const HybridVerdict& v) { return v.confirmed; }));
-}
-
-std::size_t HybridTool::possible_count() const {
-  return static_cast<std::size_t>(std::count_if(
-      verdicts_.begin(), verdicts_.end(),
-      [](const HybridVerdict& v) { return !v.confirmed && !v.hb_only; }));
-}
-
-std::size_t HybridTool::hb_only_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(verdicts_.begin(), verdicts_.end(),
-                    [](const HybridVerdict& v) { return v.hb_only; }));
+  return out;
 }
 
 }  // namespace rg::core

@@ -1,21 +1,18 @@
-// HybridTool — lockset + happens-before combination (Multi-Race style,
-// paper §2.2).
+// Hybrid lockset + happens-before verdicts (Multi-Race style, paper §2.2).
 //
 // Multi-Race [13] and the hybrid detector of O'Callahan & Choi [12] combine
 // the lockset and vector-clock approaches: the lockset pass proposes
 // candidate locations (order-independent, over-approximate), the
 // happens-before pass classifies which of them actually manifested
-// unordered in the observed execution. This tool runs a HelgrindTool and a
-// DjitTool side by side on the same event stream and merges their verdicts
-// per location at finish.
+// unordered in the observed execution. Both passes are ordinary tools: a
+// HelgrindTool and a DjitTool attached to the same runtime see the same
+// event stream, and merge_hybrid joins their reports after the run.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "core/djit.hpp"
-#include "core/helgrind.hpp"
 #include "core/report.hpp"
-#include "rt/tool.hpp"
 
 namespace rg::core {
 
@@ -28,68 +25,17 @@ struct HybridVerdict {
   bool hb_only = false;
 };
 
-struct HybridConfig {
-  HelgrindConfig lockset;
-  DjitConfig hb;
+struct HybridReport {
+  /// Every lockset location in report order, then the HB-only ones.
+  std::vector<HybridVerdict> verdicts;
+  std::size_t confirmed = 0;
+  std::size_t possible = 0;  // lockset only: order-dependent candidates
+  std::size_t hb_only = 0;
 };
 
-class HybridTool : public rt::Tool {
- public:
-  const char* name() const override { return "hybrid"; }
-  explicit HybridTool(const HybridConfig& config = {});
-
-  /// Merged per-location verdicts; valid after on_finish.
-  const std::vector<HybridVerdict>& verdicts() const { return verdicts_; }
-
-  std::size_t confirmed_count() const;
-  std::size_t possible_count() const;
-  std::size_t hb_only_count() const;
-
-  const HelgrindTool& lockset_tool() const { return lockset_; }
-  const DjitTool& hb_tool() const { return hb_; }
-
-  // Tool interface: forward everything to both sub-detectors. ------------
-  void on_attach(rt::Runtime& rt) override;
-  void on_thread_start(rt::ThreadId tid, rt::ThreadId parent,
-                       support::SiteId site) override;
-  void on_thread_exit(rt::ThreadId tid) override;
-  void on_thread_join(rt::ThreadId joiner, rt::ThreadId joined,
-                      support::SiteId site) override;
-  void on_lock_create(rt::LockId lock, support::Symbol name,
-                      bool is_rw) override;
-  void on_lock_destroy(rt::LockId lock) override;
-  void on_pre_lock(rt::ThreadId tid, rt::LockId lock, rt::LockMode mode,
-                   support::SiteId site) override;
-  void on_post_lock(rt::ThreadId tid, rt::LockId lock, rt::LockMode mode,
-                    support::SiteId site) override;
-  void on_unlock(rt::ThreadId tid, rt::LockId lock,
-                 support::SiteId site) override;
-  void on_cond_signal(rt::ThreadId tid, rt::SyncId cond,
-                      support::SiteId site) override;
-  void on_cond_wait_return(rt::ThreadId tid, rt::SyncId cond, rt::LockId lock,
-                           support::SiteId site) override;
-  void on_sem_post(rt::ThreadId tid, rt::SyncId sem, std::uint64_t token,
-                   support::SiteId site) override;
-  void on_sem_wait_return(rt::ThreadId tid, rt::SyncId sem,
-                          std::uint64_t token, support::SiteId site) override;
-  void on_queue_put(rt::ThreadId tid, rt::SyncId queue, std::uint64_t token,
-                    support::SiteId site) override;
-  void on_queue_get(rt::ThreadId tid, rt::SyncId queue, std::uint64_t token,
-                    support::SiteId site) override;
-  void on_access(const rt::MemoryAccess& access) override;
-  void on_alloc(rt::ThreadId tid, rt::Addr addr, std::uint32_t size,
-                support::SiteId site) override;
-  void on_free(rt::ThreadId tid, rt::Addr addr, std::uint32_t size,
-               support::SiteId site) override;
-  void on_destruct_annotation(rt::ThreadId tid, rt::Addr addr,
-                              std::uint32_t size,
-                              support::SiteId site) override;
-  void on_finish() override;
-
- private:
-  HelgrindTool lockset_;
-  DjitTool hb_;
-  std::vector<HybridVerdict> verdicts_;
-};
+/// Joins the reports of a lockset pass and a happens-before pass over one
+/// execution by accessed object.
+HybridReport merge_hybrid(const ReportManager& lockset,
+                          const ReportManager& hb);
 
 }  // namespace rg::core

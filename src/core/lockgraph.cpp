@@ -77,8 +77,7 @@ void LockGraphTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
       reported_pairs_.insert(
           {std::min(held.lock, lock), std::max(held.lock, lock)});
     }
-    auto& out = order_[held.lock];
-    if (!out.contains(lock)) out.emplace(lock, Edge{site, site});
+    if (histories_[held.lock].try_emplace(lock).second) ++counters_.edges;
   }
 
   // Tier B: record an acquisition history per held lock and re-examine
@@ -91,10 +90,7 @@ void LockGraphTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
                    ts.holds.size(), site);
   for (const auto& [first, hold] : ts.holds) {
     if (first == lock) continue;
-    auto& row = histories_[first];
-    const bool new_edge = !row.contains(lock);
-    if (new_edge) ++counters_.edges;
-    auto& vec = row[lock];
+    auto& vec = histories_[first][lock];
     // Cap check before building the Instance: in steady state every edge
     // is already full and the nested acquisition must cost two map lookups,
     // not two vector constructions.
@@ -117,7 +113,7 @@ void LockGraphTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
 
 bool LockGraphTool::reaches(rt::LockId from, rt::LockId to) const {
   if (from == to) return true;
-  if (!order_.contains(from)) return false;  // no outgoing edges at all
+  if (!histories_.contains(from)) return false;  // no outgoing edges at all
   // Reusable scratch with linear membership: the graph holds tens of locks
   // and this runs on every nested acquisition.
   scratch_stack_.clear();
@@ -127,9 +123,9 @@ bool LockGraphTool::reaches(rt::LockId from, rt::LockId to) const {
   while (!scratch_stack_.empty()) {
     const rt::LockId cur = scratch_stack_.back();
     scratch_stack_.pop_back();
-    auto it = order_.find(cur);
-    if (it == order_.end()) continue;
-    for (const auto& [next, edge] : it->second) {
+    auto it = histories_.find(cur);
+    if (it == histories_.end()) continue;
+    for (const auto& [next, insts] : it->second) {
       if (next == to) return true;
       if (std::find(scratch_seen_.begin(), scratch_seen_.end(), next) ==
           scratch_seen_.end()) {
@@ -143,28 +139,20 @@ bool LockGraphTool::reaches(rt::LockId from, rt::LockId to) const {
 
 void LockGraphTool::report_cycle(rt::ThreadId tid, rt::LockId held,
                                  rt::LockId wanted, support::SiteId site) {
-  Report r;
-  r.kind = Report::Kind::LockOrderInversion;
-  r.access.thread = tid;
-  r.access.site = site;
-  r.stack = rt_->stack_of(tid);
-  r.stack.insert(r.stack.begin(), site);
+  rt::MemoryAccess at;
+  at.thread = tid;
+  at.site = site;
+  Report r = make_report(*rt_, Report::Kind::LockOrderInversion, at);
   r.extra = "thread " + std::to_string(tid) + " acquires '" +
             std::string(rt_->lock_name(wanted)) + "' while holding '" +
             std::string(rt_->lock_name(held)) +
             "', but the opposite order was also observed";
-  obs::FlightRecorder* fr = rt_ != nullptr ? rt_->recorder() : nullptr;
-  r.recorder_cursor = fr != nullptr ? fr->cursor() : 0;
-  if (obs::SpanTracker* st = obs::ambient_spans(); st != nullptr) {
-    r.trace_id = st->active_trace(tid);
-    r.span_id = st->active_span(tid);
-  }
   reports_.add(std::move(r));
 }
 
 std::size_t LockGraphTool::edge_count() const {
   std::size_t n = 0;
-  for (const auto& [lock, out] : order_) n += out.size();
+  for (const auto& [lock, out] : histories_) n += out.size();
   return n;
 }
 

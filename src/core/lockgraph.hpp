@@ -100,7 +100,7 @@ class LockGraphTool : public rt::Tool {
                  support::SiteId site) override;
   void on_finish() override;
 
-  /// Number of distinct naive order edges observed (statistics).
+  /// Number of distinct lock-order edges observed (statistics).
   std::size_t edge_count() const;
 
   struct Counters {
@@ -119,12 +119,7 @@ class LockGraphTool : public rt::Tool {
 
  private:
   // --- tier A (naive, byte-compatible with the old DeadlockTool) ---------
-  struct Edge {
-    support::SiteId first_site = support::kUnknownSite;   // where A was held
-    support::SiteId second_site = support::kUnknownSite;  // where B was taken
-  };
-
-  /// True if `to` can reach `from` through naive edges (cycle check).
+  /// True if `from` reaches `to` through order edges (cycle check).
   bool reaches(rt::LockId from, rt::LockId to) const;
   void report_cycle(rt::ThreadId tid, rt::LockId held, rt::LockId wanted,
                     support::SiteId site);
@@ -206,8 +201,6 @@ class LockGraphTool : public rt::Tool {
 
   ReportManager reports_;
   ReportManager predictions_;
-  // Tier A adjacency: lock -> set of locks acquired while it was held.
-  std::unordered_map<rt::LockId, std::map<rt::LockId, Edge>> order_;
   std::set<std::pair<rt::LockId, rt::LockId>> reported_pairs_;
 
   // Tier B state.
@@ -218,7 +211,9 @@ class LockGraphTool : public rt::Tool {
   // growing closed_spans_ by one entry per unlock in the run).
   std::unordered_set<std::uint64_t> candidate_spans_;
   std::unordered_map<rt::ThreadId, std::uint64_t> joined_at_;
-  // Refined adjacency with capped acquisition-history lists.
+  // The one lock-order graph: lock -> locks acquired while it was held,
+  // each with its capped acquisition-history list. Tier A inserts the
+  // edges (and checks reachability over them); tier B fills the histories.
   std::unordered_map<rt::LockId, std::map<rt::LockId, std::vector<Instance>>>
       histories_;
   std::map<std::string, CycleCandidate> pending_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/span.hpp"
 #include "support/glob.hpp"
 #include "support/strings.hpp"
 
@@ -18,6 +19,25 @@ const char* to_string(Report::Kind kind) {
       return "Deadlock";
   }
   return "?";
+}
+
+Report make_report(const rt::Runtime& rt, Report::Kind kind,
+                   const rt::MemoryAccess& access) {
+  Report r;
+  r.kind = kind;
+  r.access = access;
+  r.stack = rt.stack_of(access.thread);
+  r.stack.insert(r.stack.begin(), access.site);
+  if (kind == Report::Kind::DataRace) r.origin = rt.origin_of(access.addr);
+  if (const obs::FlightRecorder* fr = rt.recorder(); fr != nullptr)
+    r.recorder_cursor = fr->cursor();
+  if (const obs::SpanTracker* st = obs::ambient_spans(); st != nullptr) {
+    // Causal attribution: the transaction whose span was active on the
+    // offending thread when the warning fired.
+    r.trace_id = st->active_trace(access.thread);
+    r.span_id = st->active_span(access.thread);
+  }
+  return r;
 }
 
 std::string Report::location_key() const {

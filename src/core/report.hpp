@@ -70,6 +70,14 @@ struct Report {
 
 const char* to_string(Report::Kind kind);
 
+/// Starts a report of `kind` about `access` with the fields every detector
+/// attaches: the shadow stack of `access.thread` with `access.site` pushed
+/// in front, the allocation origin of `access.addr` (data races only), the
+/// flight-recorder cursor and the thread's ambient (trace, span). Record
+/// any event the cursor must cover before calling it.
+Report make_report(const rt::Runtime& rt, Report::Kind kind,
+                   const rt::MemoryAccess& access);
+
 /// One parsed suppression entry (simplified Valgrind format).
 struct Suppression {
   std::string name;

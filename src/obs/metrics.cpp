@@ -6,7 +6,6 @@
 #include <fstream>
 
 #include "support/assert.hpp"
-#include "support/stats.hpp"
 
 namespace rg::obs {
 
@@ -151,19 +150,6 @@ bool MetricsRegistry::write_json(const std::string& path) const {
   if (!out) return false;
   out << to_json();
   return static_cast<bool>(out);
-}
-
-void export_accumulator(MetricsRegistry& registry, std::string_view name,
-                        const support::Accumulator& acc) {
-  const std::string base(name);
-  auto micros = [](double v) {
-    return static_cast<std::int64_t>(v * 1e6);
-  };
-  registry.gauge(base + ".count").set(static_cast<std::int64_t>(acc.count()));
-  registry.gauge(base + ".mean_us").set(micros(acc.mean()));
-  registry.gauge(base + ".min_us").set(micros(acc.min()));
-  registry.gauge(base + ".max_us").set(micros(acc.max()));
-  registry.gauge(base + ".stddev_us").set(micros(acc.stddev()));
 }
 
 }  // namespace rg::obs

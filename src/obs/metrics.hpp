@@ -3,10 +3,11 @@
 // Before this subsystem the repo grew three parallel stats systems:
 // `rt::ToolStats` (detector cache counters), the `sip::ProxyStats` atomic
 // watermark gauges, and the `support::Accumulator` summaries the benches
-// keep. The registry unifies them behind one insertion-ordered JSON
-// export: tools export through `ToolStats::export_to`, the proxy's
-// infra gauges are registry-backed storage with the old accessors kept as
-// thin shims, and bench accumulators publish via `export_accumulator`.
+// keep. The registry puts the first two behind one insertion-ordered
+// JSON export: tools export through `ToolStats::export_to`, and the
+// proxy's infra gauges are registry-backed storage with the old accessors
+// kept as thin shims. Bench accumulators stay bench-local and reach their
+// BENCH_*.json through `support::BenchJson`.
 //
 // Counters and gauges are plain relaxed atomics — never detector-visible,
 // never a scheduling point — so binding a registry cannot perturb the
@@ -22,10 +23,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
-
-namespace rg::support {
-class Accumulator;
-}
 
 namespace rg::obs {
 
@@ -139,12 +136,5 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Entry>> entries_;
   std::unordered_map<std::string, std::size_t> index_;
 };
-
-/// Publishes a bench-side support::Accumulator into the registry as
-/// `<name>.count/mean/min/max/stddev` gauges — the bridge that puts the
-/// third legacy stats system behind the same JSON export. Doubles are
-/// scaled to microseconds (1e6) so gauges stay integral.
-void export_accumulator(MetricsRegistry& registry, std::string_view name,
-                        const support::Accumulator& acc);
 
 }  // namespace rg::obs

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ctime>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -36,6 +38,23 @@ double percentile(std::vector<double> samples, double p) {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= samples.size()) return samples.back();
   return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
+}
+
+double median_ratio(const std::vector<double>& variant,
+                    const std::vector<double>& base) {
+  RG_ASSERT(variant.size() == base.size());
+  std::vector<double> ratios;
+  ratios.reserve(variant.size());
+  for (std::size_t i = 0; i < variant.size(); ++i)
+    ratios.push_back(variant[i] / base[i]);
+  return percentile(std::move(ratios), 50.0);
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 }  // namespace rg::support

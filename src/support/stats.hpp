@@ -31,4 +31,15 @@ class Accumulator {
 /// Percentile of a sample set (linear interpolation, p in [0,100]).
 double percentile(std::vector<double> samples, double p);
 
+/// Median over rounds of `variant[i] / base[i]`. Interleaved timing runs
+/// pair each variant with the baseline of its own round, so a slow or fast
+/// spell of the host moves both sides of a ratio rather than one best case.
+double median_ratio(const std::vector<double>& variant,
+                    const std::vector<double>& base);
+
+/// CPU time used so far by all threads of the process, in seconds: the work
+/// a timed run did, without the time its threads waited for a core while
+/// the host ran other processes.
+double process_cpu_seconds();
+
 }  // namespace rg::support

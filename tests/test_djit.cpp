@@ -3,6 +3,7 @@
 
 #include "core/djit.hpp"
 #include "detector_harness.hpp"
+#include "obs/recorder.hpp"
 
 namespace rg::core {
 namespace {
@@ -226,6 +227,26 @@ TEST(Djit, ReportNamesConflictingAccess) {
   ASSERT_EQ(tool.reports().reports().size(), 1u);
   EXPECT_NE(tool.reports().reports()[0].extra.find("first-writer"),
             std::string::npos);
+}
+
+TEST(Djit, ReportCarriesRecorderCursor) {
+  // Shared report provenance: rg-debug --explain narrates a DJIT warning
+  // from the recorder events before its cursor, as for the lockset tools.
+  obs::FlightRecorder recorder;
+  DjitTool tool;
+  EventHarness h;
+  h.runtime().set_recorder(&recorder);
+  h.attach(tool);
+  const ThreadId main = h.thread("main");
+  h.alloc(main, kAddr, 8);
+  const ThreadId a = h.thread("a");
+  const ThreadId b = h.thread("b");
+  h.write(a, kAddr);
+  h.write(b, kAddr);
+  ASSERT_EQ(tool.reports().distinct_locations(), 1u);
+  const Report& r = tool.reports().reports().front();
+  EXPECT_GT(r.recorder_cursor, 0u);
+  EXPECT_LE(r.recorder_cursor, recorder.cursor());
 }
 
 }  // namespace

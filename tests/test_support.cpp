@@ -1,6 +1,7 @@
 // Unit tests for the rg::support utilities.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -364,6 +365,19 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(samples, 100), 5.0);
   EXPECT_DOUBLE_EQ(percentile(samples, 50), 3.0);
   EXPECT_DOUBLE_EQ(percentile({42.0}, 99), 42.0);
+}
+
+TEST(Stats, MedianRatioPairsRounds) {
+  // Per-round ratios 2, 1 and 4: the median is 2 whatever each round's scale.
+  EXPECT_DOUBLE_EQ(median_ratio({2, 3, 40}, {1, 3, 10}), 2.0);
+  EXPECT_DOUBLE_EQ(median_ratio({1.1}, {1.0}), 1.1);
+}
+
+TEST(Stats, ProcessCpuSecondsAdvancesWithWork) {
+  const double start = process_cpu_seconds();
+  volatile std::uint64_t sink = 0;
+  for (std::uint64_t i = 0; i < 5'000'000; ++i) sink = sink + i;
+  EXPECT_GT(process_cpu_seconds(), start);
 }
 
 // --- table -------------------------------------------------------------------------

@@ -58,7 +58,8 @@ if [[ "$BENCH" == 1 ]]; then
   for f in build/bench/BENCH_hotpath.json build/bench/BENCH_slowdown.json \
            build/bench/BENCH_resilience.json \
            build/bench/BENCH_observability.json \
-           build/bench/BENCH_deadlock.json; do
+           build/bench/BENCH_deadlock.json \
+           build/bench/BENCH_detectors.json; do
     [[ -s "$f" ]] || { echo "missing bench result: $f" >&2; exit 1; }
   done
 fi
