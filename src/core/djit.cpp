@@ -148,4 +148,10 @@ void DjitTool::on_free(rt::ThreadId /*tid*/, rt::Addr addr, std::uint32_t size,
   shadow_.reset_range(addr, size);
 }
 
+rt::ToolStats DjitTool::stats() const {
+  rt::ToolStats s;
+  s.shadow_pages = shadow_.page_count();
+  return s;
+}
+
 }  // namespace rg::core

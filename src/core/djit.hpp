@@ -63,6 +63,7 @@ class DjitTool : public rt::Tool {
                 support::SiteId site) override;
   void on_free(rt::ThreadId tid, rt::Addr addr, std::uint32_t size,
                support::SiteId site) override;
+  rt::ToolStats stats() const override;
 
  private:
   struct Cell {

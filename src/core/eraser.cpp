@@ -51,6 +51,7 @@ rt::ToolStats EraserBasicTool::stats() const {
   rt::ToolStats s;
   s.shadow_tlb_hits = shadow_.tlb_stats().hits;
   s.shadow_tlb_misses = shadow_.tlb_stats().misses;
+  s.shadow_pages = shadow_.page_count();
   return s;
 }
 

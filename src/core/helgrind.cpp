@@ -134,10 +134,10 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
   const shadow::SegmentId seg = segments_.current(a.thread);
   const bool is_write = a.kind == rt::AccessKind::Write;
 
-  switch (cell.state) {
+  switch (cell.state()) {
     case MemState::New:
-      cell.state = MemState::Exclusive;
-      cell.owner = seg;
+      cell.set_state(MemState::Exclusive);
+      cell.set_owner(seg);
       return;
 
     case MemState::Exclusive:
@@ -148,22 +148,22 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
         // happens-before just transfers ownership.
         still_exclusive = segments_.happens_before(cell.owner, seg);
       if (still_exclusive) {
-        cell.owner = seg;
-        if (cell.state == MemState::Destroyed) cell.state = MemState::Exclusive;
+        cell.set_owner(seg);
+        cell.set_state(MemState::Exclusive);
         return;
       }
       // Genuinely shared now: initialise the lockset from the locks held
       // at this — the first shared — access.
-      const MemState prev = cell.state;
+      const MemState prev = cell.state();
       cell.lockset = effective_locks(a.thread, is_write, a.bus_locked);
       rt_->trace_addr(obs::EventKind::DetectorShare, a.thread, a.addr,
                       is_write ? 1 : 0, a.site);
       if (is_write) {
-        cell.state = MemState::SharedModified;
+        cell.set_state(MemState::SharedModified);
         if (locksets_.empty(cell.lockset))
           warn(cell, a, prev, shadow::kUniversalLockset);
       } else {
-        cell.state = MemState::SharedRead;
+        cell.set_state(MemState::SharedRead);
       }
       return;  // the DetectorShare event above carries this access
     }
@@ -174,7 +174,7 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
           effective_locks(a.thread, is_write, a.bus_locked);
       cell.lockset = locksets_.intersect(cell.lockset, held);
       if (is_write) {
-        cell.state = MemState::SharedModified;
+        cell.set_state(MemState::SharedModified);
         trace_refinement(a);
         if (locksets_.empty(cell.lockset))
           warn(cell, a, MemState::SharedRead, before);
@@ -232,6 +232,7 @@ rt::ToolStats HelgrindTool::stats() const {
   rt::ToolStats s;
   s.shadow_tlb_hits = shadow_.tlb_stats().hits;
   s.shadow_tlb_misses = shadow_.tlb_stats().misses;
+  s.shadow_pages = shadow_.page_count();
   return s;
 }
 
@@ -242,8 +243,8 @@ void HelgrindTool::on_destruct_annotation(rt::ThreadId tid, rt::Addr addr,
                                                 // client request, ignored
   const shadow::SegmentId seg = segments_.current(tid);
   shadow_.for_range(addr, size, [&](Cell& cell) {
-    cell.state = MemState::Destroyed;
-    cell.owner = seg;
+    cell.set_state(MemState::Destroyed);
+    cell.set_owner(seg);
     cell.lockset = shadow::kUniversalLockset;
     cell.reported = false;
   });

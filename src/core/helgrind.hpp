@@ -29,6 +29,7 @@
 #include "shadow/lockset.hpp"
 #include "shadow/segments.hpp"
 #include "shadow/shadow_map.hpp"
+#include "support/assert.hpp"
 
 namespace rg::core {
 
@@ -131,13 +132,32 @@ class HelgrindTool : public rt::Tool {
     Destroyed,
   };
 
+  /// One shadow granule, packed into 8 bytes so a 512-granule page is
+  /// 4 KiB:
+  ///
+  ///   bits  0..27  owner segment (read only in Exclusive/Destroyed; a New
+  ///                cell leaves it 0)
+  ///   bits 28..30  MemState
+  ///   bit  31      reported
+  ///   bits 32..63  lockset id
   struct Cell {
-    MemState state = MemState::New;
-    shadow::SegmentId owner = shadow::kNoSegment;  // Exclusive/Destroyed
-    shadow::LocksetId lockset = shadow::kUniversalLockset;
+    static constexpr std::uint32_t kOwnerBits = 28;
+
+    std::uint32_t owner : kOwnerBits = 0;
+    std::uint32_t state_bits : 3 = 0;
     /// Eraser stops checking a location after its first warning.
-    bool reported = false;
+    std::uint32_t reported : 1 = 0;
+    shadow::LocksetId lockset = shadow::kUniversalLockset;
+
+    MemState state() const { return static_cast<MemState>(state_bits); }
+    void set_state(MemState s) { state_bits = static_cast<std::uint32_t>(s); }
+    void set_owner(shadow::SegmentId seg) {
+      RG_ASSERT_MSG(seg < (1u << kOwnerBits),
+                    "segment id overflows the shadow cell");
+      owner = seg;
+    }
   };
+  static_assert(sizeof(Cell) == 8, "Helgrind shadow cell must stay 8 bytes");
 
   static const char* state_name(MemState s);
 

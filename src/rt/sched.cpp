@@ -67,12 +67,6 @@ const Scheduler::SimThread& Scheduler::slot(ThreadId tid) const {
   return *threads_[tid];
 }
 
-bool Scheduler::all_finished() const {
-  return std::all_of(threads_.begin(), threads_.end(), [](const auto& t) {
-    return t->state == RunState::Finished;
-  });
-}
-
 void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   RG_ASSERT_MSG(threads_.empty(), "scheduler already ran");
   auto main = std::make_unique<SimThread>();
@@ -93,6 +87,7 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
     }
   }
 #endif
+  live_.push_back(main.get());
   threads_.push_back(std::move(main));
   main_tid_ = main_tid;
   current_ = main_tid;
@@ -112,7 +107,7 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   // Main's entry has returned but other threads may still have work (or
   // need to unwind). Keep scheduling them from here until everyone is done;
   // fibers transfer control back to this frame when nothing remains.
-  while (!all_finished()) {
+  while (!live_.empty()) {
     if (!aborting_.load(std::memory_order_relaxed)) {
       service_sleepers();
       SimThread* next = pick_next(nullptr, /*allow_current=*/false);
@@ -125,12 +120,7 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
       continue;
     }
     // Teardown: resume unfinished workers so each unwinds in turn.
-    SimThread* next = nullptr;
-    for (const auto& t : threads_)
-      if (t->id != main_tid_ && t->state != RunState::Finished) {
-        next = t.get();
-        break;
-      }
+    SimThread* next = first_live_worker();
     RG_ASSERT_MSG(next != nullptr, "unfinished run with no threads left");
     jump(me, *next, /*from_dying=*/false);
   }
@@ -166,6 +156,7 @@ void Scheduler::spawn(ThreadId tid, std::function<void()> fn) {
               static_cast<unsigned>(self >> 32),
               static_cast<unsigned>(self & 0xffffffffu),
               static_cast<unsigned>(tid));
+  live_.push_back(t.get());
   threads_.push_back(std::move(t));
 }
 
@@ -192,7 +183,7 @@ void Scheduler::fiber_exit(SimThread& me) {
   finish_thread(me);
   SimThread* next = nullptr;
   bool resume_only = false;  // plain resume (teardown/return-to-main)
-  if (!aborting_.load(std::memory_order_relaxed) && !all_finished()) {
+  if (!aborting_.load(std::memory_order_relaxed) && !live_.empty()) {
     service_sleepers();
     next = pick_next(nullptr, /*allow_current=*/false);
     if (next == nullptr) {
@@ -203,14 +194,8 @@ void Scheduler::fiber_exit(SimThread& me) {
   }
   if (next == nullptr) {
     resume_only = true;
-    if (aborting_.load(std::memory_order_relaxed)) {
-      // Unwind chain: workers in id order, main strictly last.
-      for (const auto& t : threads_)
-        if (t->id != main_tid_ && t->state != RunState::Finished) {
-          next = t.get();
-          break;
-        }
-    }
+    // Unwind chain: workers in id order, main strictly last.
+    if (aborting_.load(std::memory_order_relaxed)) next = first_live_worker();
     if (next == nullptr) next = &slot(main_tid_);
   }
   // This fiber can never run again; park its stack for the next exiting
@@ -333,7 +318,7 @@ void Scheduler::grant_fast_budget() {
   bool other_runnable = false;
   bool any_sleeping = false;
   std::uint64_t earliest = ~0ULL;
-  for (const auto& t : threads_) {
+  for (const SimThread* t : live_) {
     if (t->state == RunState::Runnable) {
       other_runnable = true;
     } else if (t->state == RunState::Sleeping) {
@@ -467,7 +452,7 @@ void Scheduler::schedule_out(SimThread& me) {
 
 void Scheduler::record_deadlock() {
   DeadlockEvidence ev;
-  for (const auto& t : threads_)
+  for (const SimThread* t : live_)
     if (t->state == RunState::Blocked || t->state == RunState::Sleeping)
       ev.blocked.push_back({t->id, t->block_reason, t->block_lock});
   deadlock_ = std::move(ev);
@@ -476,6 +461,11 @@ void Scheduler::record_deadlock() {
 void Scheduler::finish_thread(SimThread& me) {
   drain_fast_budget();
   me.state = RunState::Finished;
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), me.id,
+      [](const SimThread* t, ThreadId id) { return t->id < id; });
+  RG_ASSERT_MSG(it != live_.end() && *it == &me, "thread finished twice");
+  live_.erase(it);
   for (ThreadId waiter : me.join_waiters) make_runnable(waiter);
   me.join_waiters.clear();
 }
@@ -485,16 +475,13 @@ void Scheduler::unwind_workers(SimThread& me) {
   // stack (which owns the objects they may still reference) goes away.
   // Each resumed fiber chains to the next via fiber_exit; control returns
   // here once only main is left.
-  for (;;) {
-    SimThread* w = nullptr;
-    for (const auto& t : threads_)
-      if (t->id != main_tid_ && t->state != RunState::Finished) {
-        w = t.get();
-        break;
-      }
-    if (w == nullptr) return;
-    jump(me, *w, /*from_dying=*/false);
-  }
+  while (SimThread* w = first_live_worker()) jump(me, *w, /*from_dying=*/false);
+}
+
+Scheduler::SimThread* Scheduler::first_live_worker() const {
+  for (SimThread* t : live_)
+    if (t->id != main_tid_) return t;
+  return nullptr;
 }
 
 void Scheduler::make_runnable(ThreadId tid) {
@@ -508,7 +495,7 @@ void Scheduler::service_sleepers() {
     bool any_sleeping = false;
     std::uint64_t earliest = ~0ULL;
     const std::uint64_t vt = vtime_.load(std::memory_order_relaxed);
-    for (const auto& t : threads_) {
+    for (SimThread* t : live_) {
       if (t->state == RunState::Sleeping) {
         if (t->wake_at <= vt) {
           t->state = RunState::Runnable;
@@ -531,8 +518,8 @@ void Scheduler::service_sleepers() {
 Scheduler::SimThread* Scheduler::pick_next(SimThread* current,
                                            bool allow_current) {
   support::small_vector<SimThread*, 16> runnable;
-  for (const auto& t : threads_)
-    if (t->state == RunState::Runnable) runnable.push_back(t.get());
+  for (SimThread* t : live_)
+    if (t->state == RunState::Runnable) runnable.push_back(t);
 
   if (runnable.empty()) {
     if (allow_current && current != nullptr) return current;
@@ -570,8 +557,7 @@ void Scheduler::global_abort(SimOutcome outcome, std::string reason) {
   fast_remaining_.store(0, std::memory_order_relaxed);
   outcome_ = outcome;
   client_error_ = std::move(reason);
-  for (const auto& t : threads_)
-    if (t->state != RunState::Finished) t->abort = true;
+  for (SimThread* t : live_) t->abort = true;
 }
 
 }  // namespace rg::rt

@@ -193,8 +193,6 @@ class Scheduler {
   SimThread& slot(ThreadId tid);
   const SimThread& slot(ThreadId tid) const;
 
-  bool all_finished() const;
-
   /// Picks the next thread to run; returns nullptr when none is runnable
   /// after waking due sleepers.
   SimThread* pick_next(SimThread* current, bool allow_current);
@@ -240,6 +238,9 @@ class Scheduler {
   /// id order) until only main remains, so main's SimAbort unwinds last.
   void unwind_workers(SimThread& me);
 
+  /// Lowest-id unfinished thread other than main; nullptr if none.
+  SimThread* first_live_worker() const;
+
   void record_deadlock();
 
   /// Precomputes the fast-path budget: the number of upcoming preemption
@@ -261,6 +262,13 @@ class Scheduler {
   std::uint64_t switch_chance_num_ = 0;
 
   std::vector<std::unique_ptr<SimThread>> threads_;
+  /// The unfinished threads of threads_, in id order: run()/spawn() append
+  /// (ids are assigned in creation order) and finish_thread() erases. Every
+  /// scan that ignores finished threads walks this instead of threads_, so
+  /// a long run's finished threads cost nothing per scheduling decision.
+  /// It must keep threads_' relative order: Random's pick index and
+  /// RoundRobin's choice depend on it.
+  std::vector<SimThread*> live_;
   ThreadId main_tid_ = kNoThread;
   ThreadId current_ = kNoThread;
   std::atomic<std::uint64_t> steps_{0};

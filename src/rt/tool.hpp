@@ -35,19 +35,23 @@ struct ToolStats {
   /// benchmark changes only on its own.
   std::uint64_t lockset_cache_hits = 0;
   std::uint64_t lockset_cache_misses = 0;
-  /// Shadow-map last-page TLB.
+  /// Shadow-map last-page TLB, access path only (`at`/`find`): alloc and
+  /// free resets look pages up without counting.
   std::uint64_t shadow_tlb_hits = 0;
   std::uint64_t shadow_tlb_misses = 0;
+  /// Shadow pages the tool's map has created (gauge; summed across tools).
+  std::uint64_t shadow_pages = 0;
 
   struct Field {
     const char* name;
     std::uint64_t ToolStats::*member;
   };
-  static constexpr std::array<Field, 4> fields = {{
+  static constexpr std::array<Field, 5> fields = {{
       {"lockset_cache_hits", &ToolStats::lockset_cache_hits},
       {"lockset_cache_misses", &ToolStats::lockset_cache_misses},
       {"shadow_tlb_hits", &ToolStats::shadow_tlb_hits},
       {"shadow_tlb_misses", &ToolStats::shadow_tlb_misses},
+      {"shadow_pages", &ToolStats::shadow_pages},
   }};
 
   ToolStats& operator+=(const ToolStats& o) {

@@ -11,11 +11,18 @@
 // patterns (the common case for the proxy's message buffers) resolve to
 // the same page as the previous access, so `at`/`find` reduce to a compare
 // and an index. Pages are heap-allocated and never freed or moved, so the
-// cached pointer can never dangle; `reset_range` only rewrites slot
-// contents. The TLB can be disabled (equivalence testing) and exposes
-// hit/miss counters.
+// cached pointer can never dangle. The TLB can be disabled (equivalence
+// testing) and exposes hit/miss counters, which count the lookups of the
+// access path (`at`/`find`) only.
+//
+// `reset_range` (every alloc and free) walks its range a page at a time and
+// rewrites only pages that already exist: a page that was never created
+// reads as default State everywhere, which is exactly what a reset writes,
+// so resetting it must not create it. It consults the TLB without counting
+// or refilling it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -90,9 +97,20 @@ class ShadowMap {
   /// Resets every granule overlapping the range to a default State
   /// (allocation freed — Helgrind reinitialises the shadow state, which is
   /// why allocator-internal reuse *without* free events causes the §4
-  /// libstdc++ false positives).
+  /// libstdc++ false positives). Pages that do not exist are skipped, not
+  /// created.
   void reset_range(rt::Addr addr, std::uint32_t size) {
-    for_range(addr, size, [](State& s) { s = State(); });
+    if (size == 0) size = 1;
+    const std::uint64_t last = granule_of(addr + size - 1);
+    for (std::uint64_t g = granule_of(addr); g <= last;) {
+      const std::uint64_t page_no = g >> (kPageShift - kGranuleShift);
+      const std::uint64_t page_last =
+          std::min(last, g | (kGranulesPerPage - 1));
+      if (Page* page = existing_page(page_no))
+        for (std::uint64_t i = g; i <= page_last; ++i)
+          (*page)[i & (kGranulesPerPage - 1)] = State();
+      g = page_last + 1;
+    }
   }
 
   std::size_t page_count() const { return pages_.size(); }
@@ -108,6 +126,14 @@ class ShadowMap {
 
  private:
   using Page = std::array<State, kGranulesPerPage>;
+
+  /// The page if it exists; consults the TLB without counting the lookup.
+  Page* existing_page(std::uint64_t page_no) {
+    if (tlb_enabled_ && tlb_page_ != nullptr && tlb_page_no_ == page_no)
+      return tlb_page_;
+    auto it = pages_.find(page_no);
+    return it == pages_.end() ? nullptr : it->second.get();
+  }
 
   Page& ensure_page(std::uint64_t page_no) {
     auto& slot = pages_[page_no];

@@ -50,6 +50,10 @@ TEST_P(HotpathEquivalence, CachedDetectorMatchesUncached) {
     // suppression blocks are the address-free rendition of the stacks.)
     EXPECT_EQ(fast.generated_suppressions, slow.generated_suppressions)
         << scenario.name;
+    // The shadow-page gauge reaches the experiment result. (Its value
+    // follows the real heap layout, so the two runs need not agree.)
+    EXPECT_GT(fast.tool_stats.shadow_pages, 0u) << scenario.name;
+    EXPECT_GT(slow.tool_stats.shadow_pages, 0u) << scenario.name;
 
     // The optimized run actually exercised its fast paths.
     EXPECT_GT(fast.sim.fast_path_steps, 0u) << scenario.name;

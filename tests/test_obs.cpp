@@ -324,21 +324,25 @@ TEST(ToolStats, FieldTableDrivesAggregationAndExport) {
   b.lockset_cache_misses = 20;
   b.shadow_tlb_hits = 30;
   b.shadow_tlb_misses = 40;
+  a.shadow_pages = 2;
+  b.shadow_pages = 5;
   a += b;
   EXPECT_EQ(a.lockset_cache_hits, 11u);
   EXPECT_EQ(a.lockset_cache_misses, 20u);
   EXPECT_EQ(a.shadow_tlb_hits, 30u);
   EXPECT_EQ(a.shadow_tlb_misses, 44u);
+  EXPECT_EQ(a.shadow_pages, 7u);
   // The static_assert on sizeof(ToolStats) == fields.size() * 8 is the
   // real guard; here we only check the table stays in sync at runtime.
   std::uint64_t via_table = 0;
   for (const rt::ToolStats::Field& f : rt::ToolStats::fields)
     via_table += a.*f.member;
-  EXPECT_EQ(via_table, 11u + 20u + 30u + 44u);
+  EXPECT_EQ(via_table, 11u + 20u + 30u + 44u + 7u);
   obs::MetricsRegistry reg;
   a.export_to(reg);
   EXPECT_EQ(reg.counter("tool.lockset_cache_hits").value(), 11u);
   EXPECT_EQ(reg.counter("tool.shadow_tlb_misses").value(), 44u);
+  EXPECT_EQ(reg.counter("tool.shadow_pages").value(), 7u);
 }
 
 // --- end to end through a Sim -----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "rt/memory.hpp"
 #include "rt/sim.hpp"
 #include "rt/sync.hpp"
@@ -433,6 +434,119 @@ TEST(Sim, ManyThreads) {
     EXPECT_EQ(cell.load(), 120);
   });
   EXPECT_TRUE(r.completed());
+}
+
+// --- finished threads stay inert --------------------------------------------
+//
+// Scheduling decisions scan only unfinished threads. A long run that leaves
+// hundreds of finished threads behind must schedule exactly as before: the
+// pins below (steps, virtual time, and the hash of the recorded stream,
+// which folds in every SchedSwitch) were captured from a scheduler that
+// still scanned every thread ever spawned.
+
+/// Hash of the recorded stream's schedule: kind, virtual time and thread of
+/// every event plus both ends of every SchedSwitch. Unlike
+/// FlightRecorder::hash() it leaves out site ids and addresses, which
+/// depend on what else ran in the process.
+std::uint64_t schedule_hash(const obs::FlightRecorder& recorder) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x100000001B3ull;
+  };
+  for (const obs::Event& e : recorder.snapshot()) {
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(e.vtime);
+    mix(e.tid);
+    if (e.kind == obs::EventKind::SchedSwitch) mix(e.a);
+  }
+  return h;
+}
+
+struct WavePin {
+  SchedStrategy strategy;
+  std::uint64_t seed;
+  std::uint64_t steps;
+  std::uint64_t virtual_time;
+  std::uint64_t stream_hash;  // schedule_hash of the recorded stream
+};
+
+/// 20 waves of 15 short-lived workers (300 in all) that sleep, contend on
+/// one mutex with main and are joined before the next wave starts.
+void run_thread_waves(const WavePin& pin) {
+  SimConfig cfg;
+  cfg.sched.strategy = pin.strategy;
+  cfg.sched.seed = pin.seed;
+  Sim sim(cfg);
+  obs::FlightRecorder recorder;
+  sim.set_recorder(&recorder);
+  const SimResult r = sim.run([] {
+    mutex m("wave-lock");
+    tracked<int> counter;
+    for (int wave = 0; wave < 20; ++wave) {
+      std::vector<thread> workers;
+      for (int i = 0; i < 15; ++i)
+        workers.emplace_back([&, i] {
+          if (i % 3 == 0) sleep_ticks(5 + 13 * ((wave + i) % 7));
+          lock_guard g(m);
+          counter.store(counter.load() + 1);
+        });
+      {
+        lock_guard g(m);
+        counter.store(counter.load() + 1);
+      }
+      for (auto& t : workers) t.join();
+    }
+    EXPECT_EQ(counter.load(), 20 * 16);
+  });
+  ASSERT_TRUE(r.completed());
+  ASSERT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(r.steps, pin.steps);
+  EXPECT_EQ(r.virtual_time, pin.virtual_time);
+  EXPECT_EQ(schedule_hash(recorder), pin.stream_hash);
+}
+
+TEST(FinishedThreads, WavesScheduleAsPinned) {
+  const WavePin pins[] = {
+      {SchedStrategy::Random, 1, 1281, 2009, 9055899659380958511ull},
+      {SchedStrategy::Random, 2, 1281, 1971, 12177222543346156207ull},
+      {SchedStrategy::Random, 3, 1281, 1936, 10350178734138674053ull},
+      {SchedStrategy::RoundRobin, 1, 1281, 2022, 5660428365550202900ull},
+  };
+  for (const WavePin& pin : pins) {
+    SCOPED_TRACE(testing::Message()
+                 << "strategy " << static_cast<int>(pin.strategy) << " seed "
+                 << pin.seed);
+    run_thread_waves(pin);
+  }
+}
+
+TEST(FinishedThreads, DeadlockEvidenceListsOnlyBlockedThreads) {
+  Sim sim;
+  const SimResult r = sim.run([&] {
+    mutex m1("m1"), m2("m2");
+    semaphore holding(0, "holding");
+    auto finish_batch = [] {
+      std::vector<thread> batch;
+      for (int i = 0; i < 50; ++i) batch.emplace_back([] { yield(); });
+      for (auto& t : batch) t.join();
+    };
+    finish_batch();
+    m1.lock();
+    thread blocker([&] {
+      m2.lock();
+      holding.post();
+      m1.lock();  // held by main: blocks forever
+    });
+    holding.wait();
+    finish_batch();
+    m2.lock();  // held by the blocker: deadlock
+  });
+  ASSERT_TRUE(r.deadlocked());
+  ASSERT_EQ(r.deadlock.blocked.size(), 2u);
+  EXPECT_EQ(r.deadlock.blocked[0].tid, kMainThread);
+  EXPECT_EQ(r.deadlock.blocked[1].tid, 51u);
+  EXPECT_NE(r.deadlock.blocked[0].waiting_lock, kNoWaitingLock);
+  EXPECT_NE(r.deadlock.blocked[1].waiting_lock, kNoWaitingLock);
 }
 
 }  // namespace

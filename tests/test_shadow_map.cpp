@@ -1,7 +1,11 @@
 // Shadow memory map: granularity, ranges, reset.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "shadow/shadow_map.hpp"
+#include "support/prng.hpp"
 
 namespace rg::shadow {
 namespace {
@@ -100,6 +104,84 @@ TEST(ShadowMap, HighAddresses) {
   map.at(high).value = 5;
   EXPECT_EQ(map.at(high + 4).value, 5);
   EXPECT_EQ(map.at(high + 8).value, 0);
+}
+
+TEST(ShadowMap, ResetRangeMaterialisesNoPages) {
+  ShadowMap<State> map;
+  map.reset_range(0x5000, 4096);
+  map.reset_range(0x9FF8, 64);
+  EXPECT_EQ(map.page_count(), 0u);
+  EXPECT_EQ(map.find(0x5000), nullptr);
+  EXPECT_EQ(map.find(0xA000), nullptr);
+}
+
+TEST(ShadowMap, ResetRangeAcrossPageBoundary) {
+  ShadowMap<State> map;
+  map.at(0x6FF0).value = 4;
+  map.at(0x6FF8).value = 4;
+  ASSERT_EQ(map.page_count(), 1u);
+  // [0x6FF0, 0x7010) covers the last two granules of the existing page and
+  // the first two of the next page, which was never touched.
+  map.reset_range(0x6FF0, 32);
+  EXPECT_EQ(map.page_count(), 1u);
+  EXPECT_EQ(map.find(0x7000), nullptr);
+  EXPECT_EQ(map.find(0x6FF0)->value, 0);
+  EXPECT_EQ(map.find(0x6FF8)->value, 0);
+}
+
+/// Seeded model check: mixed at / for_range / reset_range ops against a
+/// granule -> value reference map in which an absent granule reads 0. Only
+/// at / for_range may create pages.
+void check_against_reference(bool tlb) {
+  ShadowMap<State> map;
+  map.set_tlb_enabled(tlb);
+  std::map<std::uint64_t, int> ref;
+  std::set<std::uint64_t> touched_pages;
+  const auto page_of = [](std::uint64_t g) {
+    return g >> (kPageShift - kGranuleShift);
+  };
+  support::Xoshiro256 rng(2024);
+  // Three pages' worth of addresses so ranges often straddle pages.
+  constexpr rt::Addr kBase = 0x40000;
+  constexpr std::uint64_t kSpan = 3 * (1u << kPageShift);
+  for (int op = 1; op <= 10'000; ++op) {
+    const rt::Addr addr = kBase + rng.below(kSpan);
+    const auto size = static_cast<std::uint32_t>(rng.below(200));
+    const std::uint64_t first = granule_of(addr);
+    const std::uint64_t last = granule_of(addr + (size == 0 ? 1 : size) - 1);
+    switch (rng.below(3)) {
+      case 0:
+        map.at(addr).value = op;
+        ref[first] = op;
+        touched_pages.insert(page_of(first));
+        break;
+      case 1:
+        map.for_range(addr, size, [&](State& s) { s.value += op; });
+        for (std::uint64_t g = first; g <= last; ++g) {
+          ref[g] += op;
+          touched_pages.insert(page_of(g));
+        }
+        break;
+      case 2:
+        map.reset_range(addr, size);
+        for (std::uint64_t g = first; g <= last; ++g) ref.erase(g);
+        break;
+    }
+  }
+  for (std::uint64_t g = granule_of(kBase); g <= granule_of(kBase + kSpan);
+       ++g) {
+    const State* s = map.find(granule_base(g));
+    const auto it = ref.find(g);
+    const int expected = it == ref.end() ? 0 : it->second;
+    ASSERT_EQ(s == nullptr ? 0 : s->value, expected) << "granule " << g;
+  }
+  EXPECT_EQ(map.page_count(), touched_pages.size());
+}
+
+TEST(ShadowMap, MatchesReferenceModelWithTlb) { check_against_reference(true); }
+
+TEST(ShadowMap, MatchesReferenceModelWithoutTlb) {
+  check_against_reference(false);
 }
 
 }  // namespace
