@@ -42,7 +42,7 @@ std::size_t run_under(rg::core::BusLockModel model, std::string* report) {
   rt::Sim sim;
   sim.attach(tool);
   sim.run(stringtest_body);
-  *report = tool.reports().render(sim.runtime());
+  *report = tool.reports().render();
   return tool.reports().distinct_locations();
 }
 

@@ -48,7 +48,7 @@ int main() {
     std::printf("Lock-order checker: %zu potential deadlock(s) reported "
                 "(without any thread ever blocking)\n\n",
                 order_checker.reports().distinct_locations());
-    std::printf("%s\n", order_checker.reports().render(sim.runtime()).c_str());
+    std::printf("%s\n", order_checker.reports().render().c_str());
   }
 
   // --- 2. actual deadlock caught by the scheduler -----------------------------

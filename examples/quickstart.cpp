@@ -57,6 +57,6 @@ int main() {
   // 4. Read the report.
   std::printf("\n%zu distinct race location(s) reported:\n\n",
               detector.reports().distinct_locations());
-  std::printf("%s", detector.reports().render(sim.runtime()).c_str());
+  std::printf("%s", detector.reports().render().c_str());
   return detector.reports().distinct_locations() == 1 ? 0 : 1;
 }

@@ -46,7 +46,7 @@ int run(rg::core::BusLockModel model, const char* label) {
   });
   std::printf("=== bus lock modelled as %s: %zu warning(s)\n", label,
               detector.reports().distinct_locations());
-  std::printf("%s\n", detector.reports().render(sim.runtime()).c_str());
+  std::printf("%s\n", detector.reports().render().c_str());
   return static_cast<int>(detector.reports().distinct_locations());
 }
 

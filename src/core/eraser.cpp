@@ -5,9 +5,7 @@
 namespace rg::core {
 
 EraserBasicTool::EraserBasicTool(const EraserBasicConfig& config)
-    : config_(config), reports_("Eraser") {
-  shadow_.set_tlb_enabled(config.shadow_tlb);
-}
+    : config_(config), reports_("Eraser") {}
 
 shadow::LocksetId EraserBasicTool::held_lockset(rt::ThreadId tid,
                                                 bool is_write) {

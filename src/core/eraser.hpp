@@ -27,9 +27,6 @@ struct EraserBasicConfig {
   bool rw_rule = false;
   /// Exclude reads entirely (warn only at writes with empty lockset).
   bool warn_on_reads = true;
-  /// Shadow-map last-page TLB. Pure memoisation; off only for the
-  /// equivalence tests.
-  bool shadow_tlb = true;
 };
 
 class EraserBasicTool : public rt::Tool {

@@ -8,7 +8,6 @@ namespace rg::core {
 HelgrindTool::HelgrindTool(const HelgrindConfig& config)
     : config_(config), reports_("Helgrind") {
   reports_.set_report_cap(config.report_cap);
-  shadow_.set_tlb_enabled(config.shadow_tlb);
 }
 
 void HelgrindTool::on_attach(rt::Runtime& rt) {

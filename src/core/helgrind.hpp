@@ -61,9 +61,6 @@ struct HelgrindConfig {
   /// Warning-storm hardening: cap on distinct stored report locations
   /// (ReportManager::set_report_cap). 0 = unlimited.
   std::size_t report_cap = 0;
-  /// Shadow-map last-page TLB. Pure memoisation — may not change any
-  /// verdict; off only for the equivalence tests.
-  bool shadow_tlb = true;
 
   /// The three measured configurations of Figs. 5/6.
   static HelgrindConfig original() { return {}; }

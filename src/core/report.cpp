@@ -160,8 +160,7 @@ std::vector<std::string> ReportManager::location_keys() const {
   return keys;
 }
 
-std::string ReportManager::render(const rt::Runtime& rt) const {
-  (void)rt;
+std::string ReportManager::render() const {
   auto& sites = support::global_sites();
   std::string out;
   for (const Report& r : reports_) {

@@ -133,7 +133,7 @@ class ReportManager {
   std::vector<std::string> location_keys() const;
 
   /// Helgrind-style textual log of every distinct location.
-  std::string render(const rt::Runtime& rt) const;
+  std::string render() const;
 
   /// Valgrind's --gen-suppressions: emits one suppression block per
   /// distinct location, ready to be fed back via load_suppressions — the

@@ -208,24 +208,21 @@ void Runtime::access(const MemoryAccess& a) {
 
 void Runtime::alloc(ThreadId tid, Addr addr, std::uint32_t size,
                     support::SiteId site) {
-  AllocInfo info{addr, size, site, tid, ++alloc_seq_};
-  live_allocs_[addr] = info;
-  ident_table_.insert(addr, size, info.seq);
+  allocs_.insert(AllocInfo{addr, size, site, tid, true, ++alloc_seq_});
   trace_addr(obs::EventKind::Alloc, tid, addr, size, site);
   dispatch(obs::Hook::Alloc,
            [&](Tool* t) { t->on_alloc(tid, addr, size, site); });
 }
 
 void Runtime::free(ThreadId tid, Addr addr, support::SiteId site) {
-  auto it = live_allocs_.find(addr);
-  RG_ASSERT_MSG(it != live_allocs_.end(), "free of unknown allocation");
-  const std::uint32_t size = it->second.size;
+  const AllocInfo* block = allocs_.lookup(addr);
+  RG_ASSERT_MSG(block != nullptr && block->live && block->base == addr,
+                "free of unknown allocation");
+  const std::uint32_t size = block->size;
   // Trace while the allocation is still live so the event carries the
   // allocation-seq identity, matching the block's accesses.
   trace_addr(obs::EventKind::Free, tid, addr, size, site);
-  dead_allocs_[addr] = it->second;
-  live_allocs_.erase(it);
-  ident_table_.erase(addr, size);
+  allocs_.kill(*block);
   if (addr == ident_base_) ident_size_ = 0;
   dispatch(obs::Hook::Free,
            [&](Tool* t) { t->on_free(tid, addr, size, site); });
@@ -238,77 +235,39 @@ void Runtime::destruct_annotation(ThreadId tid, Addr addr, std::uint32_t size,
            [&](Tool* t) { t->on_destruct_annotation(tid, addr, size, site); });
 }
 
-void IdentTable::put(std::uint64_t key, Addr base, std::uint32_t size,
-                     std::uint64_t seq) {
-  if ((count_ + 1) * 10 >= slots_.size() * 7) grow();
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash(key) & mask;
-  while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask;
-  if (slots_[i].key == 0) ++count_;
-  slots_[i] = Slot{key, base, seq, size};
+void AllocTable::insert(const AllocInfo& block) {
+  const std::uint64_t last = last_granule(block);
+  for (std::uint64_t g = first_granule(block); g <= last; ++g) {
+    if ((count_ + 1) * 10 >= slots_.size() * 7) grow();
+    Slot& s = slots_[probe(g)];
+    if (s.key == 0) ++count_;
+    s = Slot{g, block};
+  }
 }
 
-void IdentTable::drop(std::uint64_t key) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash(key) & mask;
-  while (slots_[i].key != key) {
-    if (slots_[i].key == 0) return;
-    i = (i + 1) & mask;
+void AllocTable::kill(const AllocInfo& block) {
+  const std::uint64_t seq = block.seq;
+  const std::uint64_t last = last_granule(block);
+  for (std::uint64_t g = first_granule(block); g <= last; ++g) {
+    Slot& s = slots_[probe(g)];
+    if (s.key == g && s.block.seq == seq) s.block.live = false;
   }
-  // Backward-shift deletion: close the hole by pulling back any later
-  // entry of the probe chain that may no longer be reachable across it.
-  std::size_t j = i;
-  while (true) {
-    j = (j + 1) & mask;
-    if (slots_[j].key == 0) break;
-    const std::size_t home = hash(slots_[j].key) & mask;
-    if (((j - home) & mask) >= ((j - i) & mask)) {
-      slots_[i] = slots_[j];
-      i = j;
-    }
-  }
-  slots_[i] = Slot{};
-  --count_;
 }
 
-void IdentTable::grow() {
+void AllocTable::grow() {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(old.size() * 2, Slot{});
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.key == 0) continue;
-    std::size_t i = hash(s.key) & mask;
-    while (slots_[i].key != 0) i = (i + 1) & mask;
-    slots_[i] = s;
-  }
-}
-
-void IdentTable::insert(Addr base, std::uint32_t size, std::uint64_t seq) {
-  if (size == 0) return;
-  const std::uint64_t g1 = (base + size - 1) >> 4;
-  for (std::uint64_t g = base >> 4; g <= g1; ++g) put(g, base, size, seq);
-}
-
-void IdentTable::erase(Addr base, std::uint32_t size) {
-  if (size == 0) return;
-  const std::uint64_t g1 = (base + size - 1) >> 4;
-  for (std::uint64_t g = base >> 4; g <= g1; ++g) drop(g);
+  for (const Slot& s : old)
+    if (s.key != 0) slots_[probe(s.key)] = s;
 }
 
 AddrOrigin Runtime::origin_of(Addr addr) const {
   AddrOrigin out;
-  auto locate = [&](const std::map<Addr, AllocInfo>& allocs) -> bool {
-    auto it = allocs.upper_bound(addr);
-    if (it == allocs.begin()) return false;
-    --it;
-    const AllocInfo& a = it->second;
-    if (addr >= a.base + a.size) return false;
-    out.known = true;
-    out.offset = addr - a.base;
-    out.alloc = a;
-    return true;
-  };
-  if (!locate(live_allocs_)) locate(dead_allocs_);
+  const AllocInfo* block = allocs_.lookup(addr);
+  if (block == nullptr || addr - block->base >= block->size) return out;
+  out.known = true;
+  out.offset = addr - block->base;
+  out.alloc = *block;
   return out;
 }
 

@@ -1,13 +1,13 @@
 // The runtime core.
 //
 // Plays the role of the Valgrind core in the paper's architecture: it owns
-// the registry of threads, locks and live allocations, tags every event with
-// bookkeeping (held-lock sets, shadow call stacks) and fans events out to
-// the attached tools. It performs no detection itself.
+// the registry of threads, locks and allocations (freed blocks stay as
+// tombstones, so reports on stale pointers still name their block), tags
+// every event with bookkeeping (held-lock sets, shadow call stacks) and fans
+// events out to the attached tools. It performs no detection itself.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,12 +31,15 @@ struct HeldLock {
   std::uint32_t count = 1;
 };
 
-/// A live heap allocation known to the runtime.
+/// A heap allocation known to the runtime.
 struct AllocInfo {
   Addr base = 0;
   std::uint32_t size = 0;
   support::SiteId site = support::kUnknownSite;
   ThreadId thread = kNoThread;
+  /// False once the block is freed: it then stays in the registry as the
+  /// tombstone of its granules until a later allocation covers them.
+  bool live = true;
   /// Monotonic allocation sequence number; distinguishes reuses of the same
   /// address range.
   std::uint64_t seq = 0;
@@ -51,48 +54,62 @@ struct AddrOrigin {
   std::string describe() const;
 };
 
-/// O(1) address -> live-allocation map for the trace hot path. One slot per
-/// 16-byte granule overlapped by a live allocation (malloc's alignment
-/// guarantees a granule holds payload of at most one block), linear
-/// probing with backward-shift deletion so long runs never accumulate
-/// tombstones. Walking the live_allocs_ tree on every traced access would
-/// dominate the recorder's cost budget.
-class IdentTable {
+/// The runtime's allocation registry: an O(1) map from each 16-byte granule
+/// ever covered by an allocation to the most recent block that covered it.
+/// malloc's alignment guarantees a granule holds payload of at most one live
+/// block, so a live block owns all of its granules. Freeing a block only
+/// clears its live bit: the block stays as its granules' tombstone until a
+/// later allocation overwrites them, and no slot is ever deleted (linear
+/// probing, no backward-shift deletion). The table is therefore bounded by
+/// the distinct granules the run ever allocated, which plateaus as the heap
+/// reuses addresses. Granule 0 (addresses below 16, never allocated) is
+/// the empty key.
+class AllocTable {
  public:
-  struct Slot {
-    std::uint64_t key = 0;  // granule index (addr >> 4); 0 = empty
-    Addr base = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t size = 0;
-  };
+  AllocTable() : slots_(1u << 10) {}
 
-  IdentTable() : slots_(1u << 10) {}
-
-  const Slot* lookup(Addr addr) const {
-    const std::uint64_t key = addr >> kGranuleBits;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(key) & mask;
-    while (true) {
-      const Slot& s = slots_[i];
-      if (s.key == key) return &s;
-      if (s.key == 0) return nullptr;
-      i = (i + 1) & mask;
-    }
+  /// The most recent block (live or freed) whose range covered `addr`'s
+  /// granule, or nullptr if no allocation ever did.
+  const AllocInfo* lookup(Addr addr) const {
+    const Slot& s = slots_[probe(addr >> kGranuleBits)];
+    return s.key == 0 ? nullptr : &s.block;
   }
 
-  void insert(Addr base, std::uint32_t size, std::uint64_t seq);
-  void erase(Addr base, std::uint32_t size);
+  /// Records `block` in every granule of [base, base + max(size, 1)): a
+  /// zero-size block still owns its base granule.
+  void insert(const AllocInfo& block);
+  /// Marks `block` freed in every granule it still owns.
+  void kill(const AllocInfo& block);
+  /// Occupied slots: the distinct granules ever allocated.
+  std::size_t size() const { return count_; }
 
  private:
+  struct Slot {
+    std::uint64_t key = 0;  // granule index (addr >> 4); 0 = empty
+    AllocInfo block;
+  };
+
   static constexpr unsigned kGranuleBits = 4;
   static std::size_t hash(std::uint64_t key) {
     key *= 0x9E3779B97F4A7C15ull;
     key ^= key >> 32;  // keep the high granule bits in the slot index
     return static_cast<std::size_t>(key);
   }
-  void put(std::uint64_t key, Addr base, std::uint32_t size,
-           std::uint64_t seq);
-  void drop(std::uint64_t key);
+  /// Granules [first, last] of `block`'s range [base, base + max(size, 1)).
+  static std::uint64_t first_granule(const AllocInfo& block) {
+    return block.base >> kGranuleBits;
+  }
+  static std::uint64_t last_granule(const AllocInfo& block) {
+    return (block.base + (block.size == 0 ? 1 : block.size) - 1) >>
+           kGranuleBits;
+  }
+  /// Index of `key`'s slot, or of the empty slot that ends its probe run.
+  std::size_t probe(std::uint64_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash(key) & mask;
+    while (slots_[i].key != key && slots_[i].key != 0) i = (i + 1) & mask;
+    return i;
+  }
   void grow();
 
   std::vector<Slot> slots_;
@@ -183,7 +200,8 @@ class Runtime {
   void destruct_annotation(ThreadId tid, Addr addr, std::uint32_t size,
                            support::SiteId site);
 
-  /// Locates the live (or most recent) allocation containing `addr`.
+  /// The most recent allocation to cover `addr`'s granule, live or freed;
+  /// known iff `addr` lies inside that block.
   AddrOrigin origin_of(Addr addr) const;
 
   // --- shadow call stacks --------------------------------------------------
@@ -199,8 +217,12 @@ class Runtime {
   // --- statistics --------------------------------------------------------------
   std::uint64_t access_events() const { return access_events_; }
   std::uint64_t sync_events() const { return sync_events_; }
-  /// Cache counters summed over every attached tool.
+  /// Per-tool counters and gauges (ToolStats), summed over every attached
+  /// tool.
   ToolStats tool_stats() const;
+  /// Size of the allocation registry: distinct 16-byte granules ever
+  /// allocated (live blocks plus tombstones).
+  std::size_t alloc_granules() const { return allocs_.size(); }
 
  private:
   struct ThreadInfo {
@@ -243,19 +265,19 @@ class Runtime {
   /// Replay-stable identity of `addr` for trace normalisation: inside a
   /// live tracked allocation it is (allocation seq, offset) — immune to
   /// the allocator reusing a freed address differently across runs — and 0
-  /// (= "normalise the raw address") everywhere else. Runs on every traced
-  /// access: a single-entry cache of the last allocation hit in front of
-  /// the O(1) granule table (untracked stack/global addresses probe
-  /// straight to an empty slot).
+  /// (= "normalise the raw address") everywhere else, tombstones included.
+  /// Runs on every traced access: a single-entry cache of the last live
+  /// allocation hit in front of the O(1) granule probe (untracked
+  /// stack/global addresses probe straight to an empty slot).
   std::uint64_t trace_identity(Addr addr) const {
     if (addr - ident_base_ < ident_size_)
       return (1ull << 63) | (ident_seq_ << 32) | (addr - ident_base_);
-    const IdentTable::Slot* s = ident_table_.lookup(addr);
-    if (s == nullptr || addr - s->base >= s->size) return 0;
-    ident_base_ = s->base;
-    ident_size_ = s->size;
-    ident_seq_ = s->seq;
-    return (1ull << 63) | (s->seq << 32) | (addr - s->base);
+    const AllocInfo* b = allocs_.lookup(addr);
+    if (b == nullptr || !b->live || addr - b->base >= b->size) return 0;
+    ident_base_ = b->base;
+    ident_size_ = b->size;
+    ident_seq_ = b->seq;
+    return (1ull << 63) | (b->seq << 32) | (addr - b->base);
   }
 
   /// trace() for address-bearing events: attaches trace_identity(addr) so
@@ -287,14 +309,11 @@ class Runtime {
   std::vector<ThreadInfo> threads_;
   std::vector<LockInfo> locks_;
   std::vector<support::Symbol> syncs_;
-  // Live allocations keyed by base address; dead_ keeps the most recent
-  // freed allocation per base so reports on stale pointers still resolve.
-  std::map<Addr, AllocInfo> live_allocs_;
-  std::map<Addr, AllocInfo> dead_allocs_;
-  // trace_identity: granule table mirroring live_allocs_, plus a
-  // single-entry cache of the last allocation hit (invalidated when that
-  // allocation is freed).
-  IdentTable ident_table_;
+  // Every allocation, live or freed, by granule: serves free's unknown-
+  // allocation check, origin_of and trace_identity.
+  AllocTable allocs_;
+  // trace_identity's single-entry cache of the last live allocation hit
+  // (invalidated when that allocation is freed).
   mutable Addr ident_base_ = 0;
   mutable std::uint64_t ident_size_ = 0;
   mutable std::uint64_t ident_seq_ = 0;

@@ -115,8 +115,8 @@ class ShadowMap {
 
   std::size_t page_count() const { return pages_.size(); }
 
-  /// Disables (or re-enables) the last-page TLB; used by the equivalence
-  /// tests to prove the cache changes no detector verdict.
+  /// Disables (or re-enables) the last-page TLB; used by the unit
+  /// reference-model test to prove the cache changes no lookup.
   void set_tlb_enabled(bool enabled) {
     tlb_enabled_ = enabled;
     tlb_page_ = nullptr;

@@ -105,7 +105,7 @@ ExperimentResult run_scenario(const Scenario& scenario,
   result.total_warnings = reports.total_warnings();
   result.suppressed_warnings = reports.suppressed_warnings();
   result.location_keys = reports.location_keys();
-  result.report_text = reports.render(sim.runtime());
+  result.report_text = reports.render();
   result.generated_suppressions = reports.generate_suppressions();
   result.lock_order_reports = deadlock.reports().distinct_locations();
   result.predicted_cycles = deadlock.predicted();
@@ -121,7 +121,7 @@ ExperimentResult run_scenario(const Scenario& scenario,
       result.reports.push_back(r);
     for (const core::Report& r : deadlock.predictions().reports())
       result.reports.push_back(r);
-    result.report_text += deadlock.predictions().render(sim.runtime());
+    result.report_text += deadlock.predictions().render();
   }
   if (config.recorder != nullptr) {
     result.recorder_hash = config.recorder->hash();

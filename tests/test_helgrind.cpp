@@ -610,7 +610,7 @@ TEST(Reports, RenderLooksLikeHelgrind) {
   h.alloc(main, kAddr, 21);
   h.read(a, kAddr + 8);
   h.write(b, kAddr + 8);
-  const std::string text = tool.reports().render(h.runtime());
+  const std::string text = tool.reports().render();
   EXPECT_NE(text.find("Possible data race writing"), std::string::npos);
   EXPECT_NE(text.find("8 bytes inside a block of size 21"),
             std::string::npos);

@@ -1,9 +1,10 @@
-// Hot-path equivalence regression: the per-event optimizations (shadow-page
-// TLB, scheduler no-switch fast path) and the parallel experiment harness are pure mechanism — none of them may change
-// a single scheduling decision or reported warning. This suite runs the
-// real proxy workload with everything on vs everything off and demands
-// identical results, and checks the pooled Fig. 6 harness against the
-// serial one row by row.
+// Hot-path equivalence regression: the scheduler no-switch fast path and the
+// parallel experiment harness are pure mechanism — neither may change a
+// single scheduling decision or reported warning. This suite runs the real
+// proxy workload with the fast path on vs off and demands identical
+// results, and checks the pooled Fig. 6 harness against the serial one row
+// by row. (The shadow-page TLB is proven inert at unit level by the
+// ShadowMap reference-model tests.)
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,7 +20,6 @@ sipp::ExperimentConfig cached_config(std::uint64_t seed, bool optimized) {
   sipp::ExperimentConfig cfg;
   cfg.seed = seed;
   cfg.detector = core::HelgrindConfig::hwlc_dr();
-  cfg.detector.shadow_tlb = optimized;
   cfg.sched_fast_path = optimized;
   return cfg;
 }
@@ -55,11 +55,10 @@ TEST_P(HotpathEquivalence, CachedDetectorMatchesUncached) {
     EXPECT_GT(fast.tool_stats.shadow_pages, 0u) << scenario.name;
     EXPECT_GT(slow.tool_stats.shadow_pages, 0u) << scenario.name;
 
-    // The optimized run actually exercised its fast paths.
+    // The optimized run actually exercised its fast path.
     EXPECT_GT(fast.sim.fast_path_steps, 0u) << scenario.name;
     EXPECT_GT(fast.tool_stats.shadow_tlb_hits, 0u) << scenario.name;
     EXPECT_EQ(slow.sim.fast_path_steps, 0u) << scenario.name;
-    EXPECT_EQ(slow.tool_stats.shadow_tlb_hits, 0u) << scenario.name;
   }
 }
 

@@ -365,7 +365,7 @@ TEST(Proxy, CleanBuildIsRaceFreeUnderDetector) {
     proxy.shutdown();
   });
   EXPECT_EQ(tool.reports().distinct_locations(), 0u)
-      << tool.reports().render(sim.runtime());
+      << tool.reports().render();
 }
 
 }  // namespace

@@ -182,8 +182,7 @@ TEST(ReportCap, RenderSummarisesSuppressedTail) {
   mgr.add(make_report("kept", 1));
   mgr.add(make_report("dropped1", 2));
   mgr.add(make_report("dropped2", 3));
-  rt::Runtime rt;
-  const std::string text = mgr.render(rt);
+  const std::string text = mgr.render();
   EXPECT_NE(text.find("kept"), std::string::npos);
   EXPECT_EQ(text.find("dropped1"), std::string::npos);
   EXPECT_NE(text.find("2 further reports suppressed"), std::string::npos);
@@ -194,8 +193,7 @@ TEST(ReportCap, NoTailLineWithoutOverflow) {
   ReportManager mgr;
   mgr.set_report_cap(5);
   mgr.add(make_report("a", 1));
-  rt::Runtime rt;
-  EXPECT_EQ(mgr.render(rt).find("further reports suppressed"),
+  EXPECT_EQ(mgr.render().find("further reports suppressed"),
             std::string::npos);
 }
 
@@ -206,8 +204,7 @@ TEST(Rendering, IncludesFramesAndCounts) {
   Report r = make_report("race_site", 7, {"caller_frame"});
   mgr.add(r);
   mgr.add(r);
-  rt::Runtime rt;
-  const std::string text = mgr.render(rt);
+  const std::string text = mgr.render();
   EXPECT_NE(text.find("race_site"), std::string::npos);
   EXPECT_NE(text.find("caller_frame"), std::string::npos);
   EXPECT_NE(text.find("2 occurrences"), std::string::npos);
@@ -237,8 +234,7 @@ TEST(Rendering, LockOrderReport) {
   Report r = make_report("locker", 3, {}, Report::Kind::LockOrderInversion);
   r.extra = "thread 1 acquires 'b' while holding 'a'";
   mgr.add(r);
-  rt::Runtime rt;
-  const std::string text = mgr.render(rt);
+  const std::string text = mgr.render();
   EXPECT_NE(text.find("lock order inversion"), std::string::npos);
   EXPECT_NE(text.find("while holding"), std::string::npos);
 }

@@ -2,8 +2,12 @@
 // stacks.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "detector_harness.hpp"
 #include "rt/runtime.hpp"
+#include "support/prng.hpp"
 
 namespace rg::rt {
 namespace {
@@ -138,6 +142,238 @@ TEST(Runtime, OverlappingRealloc) {
   const AddrOrigin origin = rt.origin_of(0x9004);
   ASSERT_TRUE(origin.known);
   EXPECT_EQ(origin.alloc.site, site2);  // live block wins over dead one
+}
+
+// --- allocation registry ------------------------------------------------------
+
+/// The registry as Runtime kept it before the granule table, copied here as
+/// the reference: live blocks, and the most recent freed block per base,
+/// each in a map keyed by base and searched with upper_bound.
+struct TwoMapRegistry {
+  std::map<Addr, AllocInfo> live, dead;
+
+  static const AllocInfo* locate(const std::map<Addr, AllocInfo>& allocs,
+                                 Addr addr) {
+    auto it = allocs.upper_bound(addr);
+    if (it == allocs.begin()) return nullptr;
+    --it;
+    return addr < it->second.base + it->second.size ? &it->second : nullptr;
+  }
+  void free(Addr base) {
+    auto it = live.find(base);
+    dead[base] = it->second;
+    dead[base].live = false;
+    live.erase(it);
+  }
+  const AllocInfo* origin(Addr addr) const {
+    const AllocInfo* b = locate(live, addr);
+    return b != nullptr ? b : locate(dead, addr);
+  }
+  std::uint64_t identity(Addr addr) const {
+    const AllocInfo* b = locate(live, addr);
+    if (b == nullptr) return 0;
+    return (1ull << 63) | (b->seq << 32) | (addr - b->base);
+  }
+};
+
+std::uint64_t last_granule(Addr base, std::uint32_t size) {
+  return (base + (size == 0 ? 1 : size) - 1) >> 4;
+}
+
+TEST(AllocRegistry, MatchesTwoMapReferenceModel) {
+  // Seeded alloc/free over 16-byte-aligned bases (malloc's alignment) in a
+  // small arena, so freed ranges are reused in every combination. The
+  // runtime must equal a granule -> latest block model exactly; where that
+  // differs from the two-map reference, the difference must be one of the
+  // cases pinned in TombstoneAnswersWhereTheTwoMapLookupDiffered.
+  Runtime rt;
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+  TwoMapRegistry ref;
+  std::vector<AllocInfo> blocks;                    // by seq - 1
+  std::map<std::uint64_t, std::uint64_t> owner;     // granule -> latest seq
+  std::vector<Addr> live_bases;
+  support::Xoshiro256 rng(2024);
+  constexpr Addr kBase = 0x100000;
+  constexpr std::uint64_t kSpan = 4096;
+  int tail_of_newer = 0, older_tombstone = 0, newer_tombstone = 0;
+
+  auto overlaps_live = [&](Addr base, std::uint32_t size) {
+    const Addr end = base + (size == 0 ? 1 : size);
+    for (const auto& [b, l] : ref.live)
+      if (base < b + (l.size == 0 ? 1 : l.size) && b < end) return true;
+    return false;
+  };
+
+  auto check = [&](Addr addr) {
+    ASSERT_EQ(rt.trace_identity(addr), ref.identity(addr)) << addr;
+    const AddrOrigin got = rt.origin_of(addr);
+    const auto it = owner.find(addr >> 4);
+    const AllocInfo* latest =
+        it == owner.end() ? nullptr : &blocks[it->second - 1];
+    const bool known = latest != nullptr && addr - latest->base < latest->size;
+    ASSERT_EQ(got.known, known) << addr;
+    if (known) {
+      EXPECT_EQ(got.alloc.seq, latest->seq);
+      EXPECT_EQ(got.alloc.live, latest->live);
+      EXPECT_EQ(got.offset, addr - latest->base);
+    }
+    const AllocInfo* old = ref.origin(addr);
+    if (old != nullptr && got.known && old->seq == got.alloc.seq) return;
+    if (old == nullptr && !got.known) return;
+    // The answers differ: neither side is a live block containing addr,
+    // and the table's block is the more recent one to cover the granule.
+    ASSERT_TRUE(old == nullptr || !old->live) << addr;
+    ASSERT_TRUE(!got.known || !got.alloc.live) << addr;
+    ASSERT_NE(latest, nullptr);
+    if (old != nullptr) {
+      ASSERT_GT(latest->seq, old->seq) << addr;
+    }
+    // Either a newer block owns the granule and addr is past it (case 1),
+    // or the by-base walk stopped at a closer base or at a newer block on
+    // the same base (cases 2, 3), or both sides know addr and the table
+    // names the newer block (case 4).
+    if (!got.known)
+      ++tail_of_newer;
+    else if (old == nullptr)
+      ++older_tombstone;
+    else
+      ++newer_tombstone;
+  };
+
+  for (int op = 0; op < 20'000; ++op) {
+    if (!live_bases.empty() && rng.chance(1, 2)) {
+      const std::size_t i = rng.below(live_bases.size());
+      const Addr base = live_bases[i];
+      live_bases[i] = live_bases.back();
+      live_bases.pop_back();
+      rt.free(t, base, 0);
+      blocks[ref.live.at(base).seq - 1].live = false;
+      ref.free(base);
+    } else {
+      const Addr base = kBase + 16 * rng.below(kSpan / 16);
+      const auto size = static_cast<std::uint32_t>(rng.below(301));
+      if (overlaps_live(base, size)) continue;
+      const auto site = static_cast<support::SiteId>(rng.below(50));
+      rt.alloc(t, base, size, site);
+      const AllocInfo info{base, size, site, t, true, blocks.size() + 1};
+      blocks.push_back(info);
+      ref.live[base] = info;
+      live_bases.push_back(base);
+      for (std::uint64_t g = base >> 4; g <= last_granule(base, size); ++g)
+        owner[g] = info.seq;
+    }
+    for (int probe = 0; probe < 4; ++probe)
+      check(kBase - 64 + rng.below(kSpan + 512));
+    if (HasFailure()) return;
+    // Slots are never deleted, and only allocated granules get one.
+    ASSERT_EQ(rt.alloc_granules(), owner.size());
+  }
+  // The sweep reaches every kind of legitimate divergence.
+  EXPECT_GT(tail_of_newer, 0);
+  EXPECT_GT(older_tombstone, 0);
+  EXPECT_GT(newer_tombstone, 0);
+}
+
+TEST(AllocRegistry, TombstoneAnswersWhereTheTwoMapLookupDiffered) {
+  // Each granule answers with the most recent block that covered it, live
+  // or freed; the by-base maps answered with the closest base at or below
+  // the address (live map first). Where the two differ, the table's answer
+  // is pinned here (DESIGN §12).
+  Runtime rt;
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+
+  // 1. addr in the tail of a newer block's granule, past its end, inside
+  //    an older dead block: the maps named the dead block; the granule
+  //    names the newer one, which does not contain addr. The newer block
+  //    is live, or dead with a lower base.
+  rt.alloc(t, 0x1000, 64, 1);
+  rt.free(t, 0x1000, 0);
+  rt.alloc(t, 0x1000, 4, 2);
+  EXPECT_FALSE(rt.origin_of(0x1008).known);
+  EXPECT_EQ(rt.origin_of(0x1010).alloc.site, 1u);  // granule still dead's
+  rt.alloc(t, 0x6040, 64, 9);
+  rt.free(t, 0x6040, 0);
+  rt.alloc(t, 0x6000, 0x48, 10);
+  rt.free(t, 0x6000, 0);
+  EXPECT_FALSE(rt.origin_of(0x604c).known);
+  EXPECT_EQ(rt.origin_of(0x6050).alloc.site, 9u);  // next granule: agreed
+
+  // 2. An older, larger dead block contains addr, and a smaller, newer dead
+  //    block took a lower granule: the maps stopped at the newer base and
+  //    answered unknown; the granule still holds the older tombstone.
+  rt.alloc(t, 0x2000, 64, 3);
+  rt.free(t, 0x2000, 0);
+  rt.alloc(t, 0x2010, 4, 4);
+  rt.free(t, 0x2010, 0);
+  const AddrOrigin older = rt.origin_of(0x2028);
+  ASSERT_TRUE(older.known);
+  EXPECT_EQ(older.alloc.site, 3u);
+  EXPECT_EQ(older.offset, 0x28u);
+  EXPECT_FALSE(older.alloc.live);
+  EXPECT_FALSE(rt.origin_of(0x2018).known);  // agreed: past the newer block
+
+  // 3. A smaller, newer dead block at the same base: the maps kept only the
+  //    newest block per base; the granules past it keep the older one.
+  rt.alloc(t, 0x3000, 64, 5);
+  rt.free(t, 0x3000, 0);
+  rt.alloc(t, 0x3000, 8, 6);
+  rt.free(t, 0x3000, 0);
+  EXPECT_EQ(rt.origin_of(0x3020).alloc.site, 5u);
+  EXPECT_EQ(rt.origin_of(0x3004).alloc.site, 6u);  // agreed
+
+  // 4. A newer dead block with a lower base covers an older dead block: the
+  //    maps named the older block (its base is closer); the granule names
+  //    the newer one.
+  rt.alloc(t, 0x4020, 16, 7);
+  rt.free(t, 0x4020, 0);
+  rt.alloc(t, 0x4000, 64, 8);
+  rt.free(t, 0x4000, 0);
+  const AddrOrigin newer = rt.origin_of(0x4028);
+  ASSERT_TRUE(newer.known);
+  EXPECT_EQ(newer.alloc.site, 8u);
+  EXPECT_EQ(newer.offset, 0x28u);
+
+  // Tombstones never give a trace identity.
+  EXPECT_EQ(rt.trace_identity(0x2028), 0u);
+  EXPECT_NE(rt.trace_identity(0x1000), 0u);  // the live 4-byte block
+}
+
+TEST(AllocRegistry, ZeroSizeBlockOwnsItsBaseGranule) {
+  Runtime rt;
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+  rt.alloc(t, 0x5000, 0, 1);
+  EXPECT_EQ(rt.alloc_granules(), 1u);
+  EXPECT_FALSE(rt.origin_of(0x5000).known);  // no byte lies inside it
+  EXPECT_EQ(rt.trace_identity(0x5000), 0u);
+  rt.free(t, 0x5000, 0);
+}
+
+// RG_ASSERT aborts; the threadsafe style re-executes the test binary for
+// each death check instead of forking a possibly multi-threaded process.
+TEST(AllocRegistryDeathTest, FreeOfNeverAllocatedAddressAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Runtime rt;
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+  rt.alloc(t, 0x8000, 64, 0);
+  EXPECT_DEATH(rt.free(t, 0x9000, 0), "free of unknown allocation");
+}
+
+TEST(AllocRegistryDeathTest, DoubleFreeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Runtime rt;
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+  rt.alloc(t, 0x8000, 64, 0);
+  rt.free(t, 0x8000, 0);
+  EXPECT_DEATH(rt.free(t, 0x8000, 0), "free of unknown allocation");
+}
+
+TEST(AllocRegistryDeathTest, FreeOfInteriorPointerAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Runtime rt;
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+  rt.alloc(t, 0x8000, 64, 0);
+  EXPECT_DEATH(rt.free(t, 0x8010, 0), "free of unknown allocation");
+  EXPECT_DEATH(rt.free(t, 0x8008, 0), "free of unknown allocation");
 }
 
 TEST(Runtime, ShadowStacks) {

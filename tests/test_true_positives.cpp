@@ -53,7 +53,7 @@ FaultRunResult run_with_faults(const FaultConfig& faults,
   FaultRunResult out;
   out.locations = tool.reports().distinct_locations();
   out.reports = tool.reports().reports();
-  out.log = tool.reports().render(sim.runtime());
+  out.log = tool.reports().render();
   if (log != nullptr) *log = out.log;
   return out;
 }
