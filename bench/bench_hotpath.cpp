@@ -1,8 +1,9 @@
-// E11 — hot-path overhaul: what each per-event optimization buys, and proof
+// E12 — hot-path overhaul: what each per-event optimization buys, and proof
 // that none of them changes what the detector reports.
 //
 // Two comparisons on the T5 mixed scenario (the §4.5 workload):
-//   scheduler fast path   on/off   (no-switch budget, fiber scheduler)
+//   scheduler fast path   on/off   (O(1) preemption point vs the reference
+//                                   mode that rescans at every step)
 //   Fig. 6 harness        serial vs OS-thread pool (3 cells per case)
 // The on/off pair asserts identical warning locations, location keys and
 // scheduler steps; the parallel harness asserts rows equal to the serial
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
     json.add(std::string(key) + "_on_s", t_on);
   };
 
-  // Scheduler no-switch fast path.
+  // Scheduler O(1) preemption point against its reference mode.
   sipp::ExperimentConfig cfg_off = base;
   cfg_off.sched_fast_path = false;
   sipp::ExperimentResult fast_r;

@@ -29,10 +29,6 @@ thread_local ThreadId g_tls_tid = kNoThread;
 /// Fiber stack size. Fibers run real proxy/request code, so leave ample
 /// headroom; pages are only committed when touched.
 constexpr std::size_t kFiberStackSize = 256 * 1024;
-
-/// Upper bound on one fast-path grant; keeps the Random pre-count loop and
-/// the drain replay loop short. Budgets regrant at the next slow step.
-constexpr std::uint64_t kMaxFastGrant = 4096;
 }  // namespace
 
 std::string DeadlockEvidence::describe() const {
@@ -71,7 +67,7 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   RG_ASSERT_MSG(threads_.empty(), "scheduler already ran");
   auto main = std::make_unique<SimThread>();
   main->id = main_tid;
-  main->state = RunState::Running;
+  set_state(*main, RunState::Running);
 #if defined(RG_ASAN_FIBERS)
   {
     // The carrier's native stack bounds, for fiber-switch annotations.
@@ -90,7 +86,6 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   live_.push_back(main.get());
   threads_.push_back(std::move(main));
   main_tid_ = main_tid;
-  current_ = main_tid;
   g_tls_tid = main_tid;
 
   try {
@@ -110,7 +105,7 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   while (!live_.empty()) {
     if (!aborting_.load(std::memory_order_relaxed)) {
       service_sleepers();
-      SimThread* next = pick_next(nullptr, /*allow_current=*/false);
+      SimThread* next = pick_next(0);
       if (next == nullptr) {
         record_deadlock();
         global_abort(SimOutcome::Deadlocked, "deadlock");
@@ -138,10 +133,9 @@ void Scheduler::spawn(ThreadId tid, std::function<void()> fn) {
                 "spawn during teardown");
   RG_ASSERT_MSG(tid == threads_.size(),
                 "thread ids must be registered in creation order");
-  drain_fast_budget();  // the new thread changes the runnable set
   auto t = std::make_unique<SimThread>();
   t->id = tid;
-  t->state = RunState::Runnable;
+  set_state(*t, RunState::Runnable);
   t->fn = std::move(fn);
   // Default-initialized (not zeroed): pages commit only when touched.
   t->stack.reset(new char[kFiberStackSize]);
@@ -185,7 +179,7 @@ void Scheduler::fiber_exit(SimThread& me) {
   bool resume_only = false;  // plain resume (teardown/return-to-main)
   if (!aborting_.load(std::memory_order_relaxed) && !live_.empty()) {
     service_sleepers();
-    next = pick_next(nullptr, /*allow_current=*/false);
+    next = pick_next(0);
     if (next == nullptr) {
       // Threads remain but none can ever run again.
       record_deadlock();
@@ -201,18 +195,12 @@ void Scheduler::fiber_exit(SimThread& me) {
   // This fiber can never run again; park its stack for the next exiting
   // fiber to free (it is still in use until the jump below completes).
   retiring_stack_ = std::move(me.stack);
-  if (resume_only) {
-    jump(me, *next, /*from_dying=*/true);
-  } else {
-    next->state = RunState::Running;
-    grant_fast_budget();
-    jump(me, *next, /*from_dying=*/true);
-  }
+  if (!resume_only) set_state(*next, RunState::Running);
+  jump(me, *next, /*from_dying=*/true);
   RG_UNREACHABLE("finished fiber resumed");
 }
 
 void Scheduler::jump(SimThread& from, SimThread& to, bool from_dying) {
-  current_ = to.id;
   g_tls_tid = to.id;
 #if defined(RG_ASAN_FIBERS)
   void* fake_stack = nullptr;
@@ -230,57 +218,68 @@ void Scheduler::jump(SimThread& from, SimThread& to, bool from_dying) {
 
 void Scheduler::hand_off(SimThread& from, SimThread& next) {
   RG_ASSERT(next.state == RunState::Runnable);
-  next.state = RunState::Running;
+  set_state(next, RunState::Running);
   if (recorder_ != nullptr)
     recorder_->record(obs::EventKind::SchedSwitch,
                       vtime_.load(std::memory_order_relaxed), next.id,
                       from.id, 0);
-  // Precompute the incoming thread's no-switch budget while the scheduler
-  // state is settled; it consumes the budget without re-entering here.
-  grant_fast_budget();
   jump(from, next, /*from_dying=*/false);
 }
 
 void Scheduler::preempt() {
-  // Fast path: a prior scheduling decision proved that the next
-  // fast_remaining_ preemption points cannot switch threads, wake a due
-  // sleeper, or trip the step cap — skip the strategy logic entirely.
-  const std::int64_t rem = fast_remaining_.load(std::memory_order_relaxed);
-  if (rem > 0 && !aborting_.load(std::memory_order_relaxed)) {
-    fast_remaining_.store(rem - 1, std::memory_order_relaxed);
-    steps_.fetch_add(1, std::memory_order_relaxed);
-    vtime_.fetch_add(1, std::memory_order_relaxed);
-    fast_steps_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
-  SimThread& me = slot(g_tls_tid);
-  if (me.abort || aborting_.load(std::memory_order_relaxed)) {
+  if (aborting_.load(std::memory_order_relaxed)) {
     // Raise the teardown exception once; while it is unwinding, RAII
     // destructors may re-enter the scheduler and must pass through freely.
+    SimThread& me = slot(g_tls_tid);
     if (std::uncaught_exceptions() == 0 && me.state != RunState::Finished) {
       if (me.id == main_tid_) unwind_workers(me);
       throw SimAbort{client_error_};
     }
     return;
   }
-  drain_fast_budget();
-  const std::uint64_t steps_now =
-      steps_.fetch_add(1, std::memory_order_relaxed) + 1;
-  vtime_.fetch_add(1, std::memory_order_relaxed);
+  // The carrier is the only writer, so no locked read-modify-write.
+  const std::uint64_t steps_now = steps_.load(std::memory_order_relaxed) + 1;
+  steps_.store(steps_now, std::memory_order_relaxed);
+  const std::uint64_t vt = vtime_.load(std::memory_order_relaxed) + 1;
+  vtime_.store(vt, std::memory_order_relaxed);
   ++since_switch_;
   if (steps_now > config_.max_steps) {
+    SimThread& me = slot(g_tls_tid);
     global_abort(SimOutcome::StepLimit, "scheduler step limit reached");
     if (me.id == main_tid_) unwind_workers(me);
     throw SimAbort{"step limit"};
   }
-  service_sleepers();
-  SimThread* next = pick_next(&me, /*allow_current=*/true);
-  if (next == nullptr || next == &me) {
-    grant_fast_budget();
+  // No sleeper can be due before next_wake_, so the scan is skipped until
+  // then; the reference mode scans and recounts at every step.
+  const bool scan = !config_.fast_path || vt >= next_wake_;
+  if (scan) service_sleepers();
+  if (!config_.fast_path)
+    RG_ASSERT_MSG(static_cast<std::size_t>(std::count_if(
+                      live_.begin(), live_.end(),
+                      [](const SimThread* t) {
+                        return t->state == RunState::Runnable;
+                      })) == runnable_,
+                  "runnable count out of step");
+
+  // The strategy's one decision: keep running, or switch.
+  bool stay = runnable_ == 0;
+  if (!stay) {
+    switch (config_.strategy) {
+      case SchedStrategy::RoundRobin:
+        stay = since_switch_ < config_.switch_period;
+        break;
+      case SchedStrategy::Random:
+        stay = !rng_.chance(switch_chance_num_, 1'000'000);
+        break;
+    }
+  }
+  if (stay) {
+    if (!scan) ++fast_steps_;
     return;
   }
-  me.state = RunState::Runnable;
+  SimThread& me = slot(g_tls_tid);
+  SimThread* next = pick_next(me.id);
+  set_state(me, RunState::Runnable);
   since_switch_ = 0;
   hand_off(me, *next);
   if (me.abort) {
@@ -289,98 +288,13 @@ void Scheduler::preempt() {
   }
 }
 
-void Scheduler::drain_fast_budget() {
-  if (fast_granted_ == 0) return;
-  const std::int64_t rem_raw = fast_remaining_.load(std::memory_order_relaxed);
-  const std::uint64_t rem =
-      rem_raw > 0 ? static_cast<std::uint64_t>(rem_raw) : 0;
-  const std::uint64_t consumed = fast_granted_ - rem;
-  // Fast steps bumped steps_/vtime_ themselves; reconcile the rest here.
-  since_switch_ += static_cast<std::uint32_t>(consumed);
-  if (fast_grant_draws_)
-    // Advance the PRNG by exactly the draws the slow path would have made
-    // for the steps actually taken (the grant rolled its counting back).
-    for (std::uint64_t i = 0; i < consumed; ++i)
-      (void)rng_.chance(switch_chance_num_, 1'000'000);
-  fast_granted_ = 0;
-  fast_grant_draws_ = false;
-  fast_remaining_.store(0, std::memory_order_relaxed);
-}
-
-void Scheduler::grant_fast_budget() {
-  if (!config_.fast_path || aborting_.load(std::memory_order_relaxed)) return;
-  RG_ASSERT_MSG(fast_granted_ == 0, "granting over an undrained budget");
-  const std::uint64_t steps_now = steps_.load(std::memory_order_relaxed);
-  // The step that trips the cap must take the slow path.
-  if (steps_now >= config_.max_steps) return;
-  std::uint64_t budget = std::min(kMaxFastGrant, config_.max_steps - steps_now);
-
-  bool other_runnable = false;
-  bool any_sleeping = false;
-  std::uint64_t earliest = ~0ULL;
-  for (const SimThread* t : live_) {
-    if (t->state == RunState::Runnable) {
-      other_runnable = true;
-    } else if (t->state == RunState::Sleeping) {
-      any_sleeping = true;
-      earliest = std::min(earliest, t->wake_at);
-    }
-  }
-
-  if (!other_runnable) {
-    // Running alone: the slow path would consume no PRNG draws and could
-    // not switch until a sleeper comes due (the step that wakes it must
-    // be slow — it changes the runnable set and, under Random, starts
-    // consuming draws). spawn()/unblock() invalidate the budget.
-    if (any_sleeping) {
-      const std::uint64_t vt = vtime_.load(std::memory_order_relaxed);
-      if (earliest <= vt + 1) return;
-      budget = std::min(budget, earliest - vt - 1);
-    }
-    fast_grant_draws_ = false;
-  } else {
-    switch (config_.strategy) {
-      case SchedStrategy::RoundRobin: {
-        // Steps strictly before the period boundary cannot switch. A
-        // sleeper waking mid-budget is woken (identically) by the
-        // service_sleepers call of the next slow step.
-        if (since_switch_ + 1 >= config_.switch_period) return;
-        budget = std::min<std::uint64_t>(
-            budget, config_.switch_period - since_switch_ - 1);
-        fast_grant_draws_ = false;
-        break;
-      }
-      case SchedStrategy::Random: {
-        // The runnable set is non-empty and only the running thread can
-        // change it (via entry points that drain), so the slow path would
-        // consume exactly one switch draw per step. Count the run of
-        // no-switch draws against a snapshot, then roll back: the drain
-        // replays the consumed prefix, keeping the stream bit-identical.
-        const support::Xoshiro256 snapshot = rng_;
-        std::uint64_t falses = 0;
-        while (falses < budget && !rng_.chance(switch_chance_num_, 1'000'000))
-          ++falses;
-        rng_ = snapshot;
-        if (falses == 0) return;
-        budget = falses;
-        fast_grant_draws_ = true;
-        break;
-      }
-    }
-  }
-
-  fast_granted_ = budget;
-  fast_remaining_.store(static_cast<std::int64_t>(budget),
-                        std::memory_order_relaxed);
-}
-
 void Scheduler::block(const std::string& reason, std::uint64_t waiting_lock) {
   SimThread& me = slot(g_tls_tid);
   if (me.abort || aborting_.load(std::memory_order_relaxed)) {
     if (std::uncaught_exceptions() == 0) throw SimAbort{client_error_};
     return;
   }
-  me.state = RunState::Blocked;
+  set_state(me, RunState::Blocked);
   me.block_reason = reason;
   me.block_lock = waiting_lock;
   schedule_out(me);
@@ -388,9 +302,8 @@ void Scheduler::block(const std::string& reason, std::uint64_t waiting_lock) {
 }
 
 void Scheduler::unblock(ThreadId tid) {
-  drain_fast_budget();  // the target joins the runnable set
   SimThread& t = slot(tid);
-  if (t.state == RunState::Blocked) t.state = RunState::Runnable;
+  if (t.state == RunState::Blocked) set_state(t, RunState::Runnable);
 }
 
 void Scheduler::sleep(std::uint64_t ticks) {
@@ -399,7 +312,7 @@ void Scheduler::sleep(std::uint64_t ticks) {
     if (std::uncaught_exceptions() == 0) throw SimAbort{client_error_};
     return;
   }
-  me.state = RunState::Sleeping;
+  set_state(me, RunState::Sleeping);
   me.wake_at = vtime_.load(std::memory_order_relaxed) + ticks;
   me.block_reason = "sleeping";
   schedule_out(me);
@@ -413,7 +326,7 @@ void Scheduler::wait_finish(ThreadId target) {
       return;  // Teardown: the remaining fibers unwind via the abort chain.
     }
     slot(target).join_waiters.push_back(me.id);
-    me.state = RunState::Blocked;
+    set_state(me, RunState::Blocked);
     me.block_reason = "joining thread " + std::to_string(target);
     schedule_out(me);
   }
@@ -432,9 +345,8 @@ bool Scheduler::tearing_down() const {
 ThreadId Scheduler::current() const { return g_tls_tid; }
 
 void Scheduler::schedule_out(SimThread& me) {
-  drain_fast_budget();
   service_sleepers();
-  SimThread* next = pick_next(nullptr, /*allow_current=*/false);
+  SimThread* next = pick_next(0);
   if (next == nullptr) {
     // Nothing runnable and nothing due to wake: the program under test is
     // deadlocked.
@@ -459,14 +371,13 @@ void Scheduler::record_deadlock() {
 }
 
 void Scheduler::finish_thread(SimThread& me) {
-  drain_fast_budget();
-  me.state = RunState::Finished;
+  set_state(me, RunState::Finished);
   const auto it = std::lower_bound(
       live_.begin(), live_.end(), me.id,
       [](const SimThread* t, ThreadId id) { return t->id < id; });
   RG_ASSERT_MSG(it != live_.end() && *it == &me, "thread finished twice");
   live_.erase(it);
-  for (ThreadId waiter : me.join_waiters) make_runnable(waiter);
+  for (ThreadId waiter : me.join_waiters) unblock(waiter);
   me.join_waiters.clear();
 }
 
@@ -484,9 +395,10 @@ Scheduler::SimThread* Scheduler::first_live_worker() const {
   return nullptr;
 }
 
-void Scheduler::make_runnable(ThreadId tid) {
-  SimThread& t = slot(tid);
-  if (t.state == RunState::Blocked) t.state = RunState::Runnable;
+void Scheduler::set_state(SimThread& t, RunState s) {
+  if (t.state == RunState::Runnable) --runnable_;
+  if (s == RunState::Runnable) ++runnable_;
+  t.state = s;
 }
 
 void Scheduler::service_sleepers() {
@@ -498,7 +410,7 @@ void Scheduler::service_sleepers() {
     for (SimThread* t : live_) {
       if (t->state == RunState::Sleeping) {
         if (t->wake_at <= vt) {
-          t->state = RunState::Runnable;
+          set_state(*t, RunState::Runnable);
           any_runnable = true;
         } else {
           any_sleeping = true;
@@ -509,44 +421,30 @@ void Scheduler::service_sleepers() {
         any_runnable = true;
       }
     }
-    if (any_runnable || !any_sleeping) return;
+    if (any_runnable || !any_sleeping) {
+      next_wake_ = earliest;
+      return;
+    }
     // Everyone is asleep: jump virtual time to the first deadline.
     vtime_.store(earliest, std::memory_order_relaxed);
   }
 }
 
-Scheduler::SimThread* Scheduler::pick_next(SimThread* current,
-                                           bool allow_current) {
+Scheduler::SimThread* Scheduler::pick_next(ThreadId after) {
   support::small_vector<SimThread*, 16> runnable;
   for (SimThread* t : live_)
     if (t->state == RunState::Runnable) runnable.push_back(t);
-
-  if (runnable.empty()) {
-    if (allow_current && current != nullptr) return current;
-    return nullptr;
-  }
+  RG_ASSERT_MSG(runnable.size() == runnable_, "runnable count out of step");
+  if (runnable.empty()) return nullptr;
 
   switch (config_.strategy) {
-    case SchedStrategy::RoundRobin: {
-      if (allow_current && current != nullptr &&
-          since_switch_ < config_.switch_period)
-        return current;
-      // Next runnable id after the current one, wrapping.
-      const ThreadId cur = current != nullptr ? current->id : ThreadId{0};
-      SimThread* best = nullptr;
-      SimThread* wrap = runnable[0];
-      for (SimThread* t : runnable) {
-        if (t->id > cur && (best == nullptr || t->id < best->id)) best = t;
-        if (t->id < wrap->id) wrap = t;
-      }
-      return best != nullptr ? best : wrap;
-    }
-    case SchedStrategy::Random: {
-      if (allow_current && current != nullptr &&
-          !rng_.chance(switch_chance_num_, 1'000'000))
-        return current;
+    case SchedStrategy::RoundRobin:
+      // live_ is in id order: the first id above `after`, else wrap.
+      for (SimThread* t : runnable)
+        if (t->id > after) return t;
+      return runnable[0];
+    case SchedStrategy::Random:
       return runnable[rng_.below(runnable.size())];
-    }
   }
   RG_UNREACHABLE("bad strategy");
 }
@@ -554,7 +452,6 @@ Scheduler::SimThread* Scheduler::pick_next(SimThread* current,
 void Scheduler::global_abort(SimOutcome outcome, std::string reason) {
   if (aborting_.load(std::memory_order_relaxed)) return;
   aborting_.store(true, std::memory_order_relaxed);
-  fast_remaining_.store(0, std::memory_order_relaxed);
   outcome_ = outcome;
   client_error_ = std::move(reason);
   for (SimThread* t : live_) t->abort = true;

@@ -50,12 +50,12 @@ struct SchedConfig {
   /// Hard cap on preemption points; exceeding it aborts the run (guards
   /// against livelock in a buggy program under test).
   std::uint64_t max_steps = 100'000'000;
-  /// No-switch fast path: at every scheduling decision the scheduler
-  /// precomputes how many upcoming preemption points cannot switch threads
-  /// and lets them run on a counter decrement, skipping the strategy logic.
-  /// Schedules are bit-identical with the fast path on or off (the PRNG
-  /// draws are precounted against a snapshot and replayed); off only for
-  /// the equivalence tests and perf comparison.
+  /// O(1) preemption points. On: a step that switches no thread touches
+  /// only the step counters, the runnable count and the strategy's one
+  /// decision, and wakes sleepers only once the earliest deadline is due.
+  /// Off is the reference mode: every step services the sleepers and
+  /// recounts the runnable set, asserting it matches the maintained count.
+  /// Schedules are bit-identical either way.
   bool fast_path = true;
 };
 
@@ -142,21 +142,21 @@ class Scheduler {
   std::uint64_t virtual_time() const {
     return vtime_.load(std::memory_order_relaxed);
   }
-  /// Preemption points that took the no-switch fast path (observability).
-  std::uint64_t fast_path_steps() const {
-    return fast_steps_.load(std::memory_order_relaxed);
-  }
+  /// Preemption points that returned without scanning the thread list: no
+  /// sleeper due and no switch (always 0 with fast_path off).
+  std::uint64_t fast_path_steps() const { return fast_steps_; }
   SimOutcome outcome() const { return outcome_; }
   const DeadlockEvidence& deadlock() const { return deadlock_; }
   const std::string& client_error() const { return client_error_; }
 
   /// Mirrors every context switch into the flight recorder (nullptr = off).
-  /// Recording happens only in hand_off — the no-switch fast path stays a
-  /// counter decrement.
+  /// Recording happens only in hand_off, so a step that switches no thread
+  /// records nothing.
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
   /// The virtual-time counter, for FlightRecorder::set_clock. Stable for
-  /// the scheduler's lifetime.
+  /// the scheduler's lifetime. Only the carrier thread writes it, and its
+  /// readers (the recorder, the fibers' virtual_time() calls) run there too.
   const std::atomic<std::uint64_t>* vtime_source() const { return &vtime_; }
 
   /// Installed by Sim so fibers inherit the ambient context. Called at
@@ -174,7 +174,9 @@ class Scheduler {
 
   struct SimThread {
     ThreadId id = kNoThread;
-    RunState state = RunState::Runnable;
+    /// Written only through set_state(), which keeps runnable_ in step;
+    /// run() and spawn() place a new thread from this neutral value.
+    RunState state = RunState::Blocked;
     bool abort = false;
     std::uint64_t wake_at = 0;
     std::string block_reason;
@@ -193,16 +195,22 @@ class Scheduler {
   SimThread& slot(ThreadId tid);
   const SimThread& slot(ThreadId tid) const;
 
-  /// Picks the next thread to run; returns nullptr when none is runnable
-  /// after waking due sleepers.
-  SimThread* pick_next(SimThread* current, bool allow_current);
+  /// Moves `t` to state `s`, keeping runnable_ equal to the number of
+  /// Runnable threads.
+  void set_state(SimThread& t, RunState s);
+
+  /// Picks a Runnable thread to switch to, or nullptr when there is none.
+  /// RoundRobin takes the first runnable id above `after`, wrapping; the
+  /// entry points that park or retire the running thread pass 0. Random
+  /// draws a uniform index. Asserts that its scan agrees with runnable_.
+  SimThread* pick_next(ThreadId after);
 
   /// Raw fiber switch from `from` to `to` (no state changes). `from_dying`
   /// marks `from`'s stack as never resumed again (sanitizer hint).
   void jump(SimThread& from, SimThread& to, bool from_dying);
 
-  /// Marks `next` running, grants it a fast-path budget, and switches to
-  /// it. Returns when `from` is scheduled again.
+  /// Marks `next` running and switches to it. Returns when `from` is
+  /// scheduled again.
   void hand_off(SimThread& from, SimThread& next);
 
   /// Parks `me` (already marked Blocked/Sleeping) and hands control to some
@@ -218,13 +226,12 @@ class Scheduler {
   /// and transfers control to the next thread (or back to run()).
   [[noreturn]] void fiber_exit(SimThread& me);
 
-  void make_runnable(ThreadId tid);
-
   /// Marks `me` finished and wakes its joiners (no control transfer).
   void finish_thread(SimThread& me);
 
   /// Wakes sleepers whose deadline has passed; when nothing is runnable but
   /// sleepers exist, advances virtual time to the earliest deadline.
+  /// Refreshes next_wake_ to the earliest deadline still pending.
   void service_sleepers();
 
   /// Declares the whole run dead: flags every unfinished thread so it
@@ -243,18 +250,6 @@ class Scheduler {
 
   void record_deadlock();
 
-  /// Precomputes the fast-path budget: the number of upcoming preemption
-  /// points guaranteed to keep the current thread running. For the Random
-  /// strategy the run of no-switch draws is counted against a PRNG
-  /// snapshot and rolled back; drain_fast_budget() replays exactly the
-  /// consumed draws, so the PRNG stream — and therefore the schedule — is
-  /// bit-identical to the slow path.
-  void grant_fast_budget();
-
-  /// Reconciles counters (since_switch_, PRNG position) after fast-path
-  /// steps; must run at the top of every scheduling entry point.
-  void drain_fast_budget();
-
   SchedConfig config_;
   obs::FlightRecorder* recorder_ = nullptr;
   support::Xoshiro256 rng_;
@@ -270,11 +265,17 @@ class Scheduler {
   /// RoundRobin's choice depend on it.
   std::vector<SimThread*> live_;
   ThreadId main_tid_ = kNoThread;
-  ThreadId current_ = kNoThread;
+  /// Bumped by a relaxed load and store: the carrier is the only writer.
   std::atomic<std::uint64_t> steps_{0};
   std::atomic<std::uint64_t> vtime_{0};
-  std::atomic<std::uint64_t> fast_steps_{0};
+  std::uint64_t fast_steps_ = 0;
   std::uint32_t since_switch_ = 0;
+  /// Number of Runnable threads (the Running one excluded).
+  std::size_t runnable_ = 0;
+  /// Earliest wake_at of any sleeper (~0 if none). Only service_sleepers
+  /// sets it; a thread falls asleep only through schedule_out, which calls
+  /// service_sleepers, so the value is never later than a pending deadline.
+  std::uint64_t next_wake_ = ~0ULL;
   std::atomic<bool> aborting_{false};
   SimOutcome outcome_ = SimOutcome::Completed;
   DeadlockEvidence deadlock_;
@@ -284,14 +285,6 @@ class Scheduler {
   /// own stack while still running on it, so it parks the stack here; the
   /// next fiber to exit overwrites (and thereby frees) it.
   std::unique_ptr<char[]> retiring_stack_;
-
-  // Fast-path budget. Only the single running simulated thread consumes
-  // it; atomics keep the counters readable from monitoring code.
-  std::atomic<std::int64_t> fast_remaining_{0};
-  std::uint64_t fast_granted_ = 0;
-  /// Whether the active grant pre-counted Random-strategy draws that the
-  /// drain must replay.
-  bool fast_grant_draws_ = false;
 };
 
 }  // namespace rg::rt

@@ -24,7 +24,8 @@ struct SimConfig {
 struct SimResult {
   SimOutcome outcome = SimOutcome::Completed;
   std::uint64_t steps = 0;
-  /// Preemption points resolved by the scheduler's no-switch fast path.
+  /// Preemption points that returned without scanning the thread list (no
+  /// sleeper due, no switch); 0 when SchedConfig::fast_path is off.
   std::uint64_t fast_path_steps = 0;
   std::uint64_t virtual_time = 0;
   std::uint64_t access_events = 0;

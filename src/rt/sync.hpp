@@ -46,7 +46,7 @@ class mutex {
   std::string name_;
   Sim* sim_ = nullptr;
   LockId id_ = kNoLock;
-  // Simulated state (only touched while holding the scheduler baton).
+  // Simulated state (only touched by the running fiber on the carrier).
   ThreadId owner_ = kNoThread;
   std::vector<ThreadId> wait_queue_;
   // Native state.

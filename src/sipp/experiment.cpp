@@ -204,21 +204,6 @@ core::HelgrindConfig fig6_detector(std::size_t variant) {
 
 }  // namespace
 
-Fig6Row run_fig6_row(int n, const ExperimentConfig& base) {
-  const Scenario scenario = build_testcase(n, base.seed);
-
-  auto run_with = [&](const core::HelgrindConfig& detector) {
-    ExperimentConfig cfg = base;
-    cfg.detector = detector;
-    return run_scenario(scenario, cfg);
-  };
-
-  const ExperimentResult original = run_with(fig6_detector(0));
-  const ExperimentResult hwlc = run_with(fig6_detector(1));
-  const ExperimentResult hwlc_dr = run_with(fig6_detector(2));
-  return assemble_fig6_row(scenario.name, original, hwlc, hwlc_dr);
-}
-
 std::vector<Fig6Row> run_fig6_rows(const std::vector<int>& cases,
                                    const ExperimentConfig& base,
                                    std::size_t workers) {

@@ -66,8 +66,9 @@ struct ExperimentConfig {
   std::size_t report_cap = 0;
 
   // --- performance knobs --------------------------------------------------
-  /// Scheduler no-switch fast path. Schedules are bit-identical either way;
-  /// off only for the equivalence tests and perf comparison.
+  /// SchedConfig::fast_path: O(1) preemption points when on; off is the
+  /// scheduler's reference mode, which rescans and recounts at every step.
+  /// Schedules are bit-identical either way.
   bool sched_fast_path = true;
 
   // --- observability --------------------------------------------------------
@@ -182,14 +183,12 @@ struct Fig6Row {
   }
 };
 
-/// Runs test case `n` under the three configurations of the paper.
-Fig6Row run_fig6_row(int n, const ExperimentConfig& base);
-
-/// Runs Fig. 6 rows for `cases`, fanning the (test case × detector config)
+/// Runs Fig. 6 rows for `cases`, each test case under the three
+/// configurations of the paper, fanning the (test case × detector config)
 /// cells over an OS-thread pool (`workers` = 0 → hardware concurrency,
 /// 1 → serial). Each cell is a self-contained Sim on one pool thread, so
-/// per-cell determinism is unchanged: the returned rows are identical to
-/// running run_fig6_row over `cases` one by one.
+/// per-cell determinism is unchanged: the returned rows do not depend on
+/// `workers`.
 std::vector<Fig6Row> run_fig6_rows(const std::vector<int>& cases,
                                    const ExperimentConfig& base,
                                    std::size_t workers = 0);

@@ -18,7 +18,7 @@ ExperimentConfig base_config() {
 class Fig6PerTestCase : public ::testing::TestWithParam<int> {};
 
 TEST_P(Fig6PerTestCase, ConfigurationsAreStrictlyOrdered) {
-  const Fig6Row row = run_fig6_row(GetParam(), base_config());
+  const Fig6Row row = run_fig6_rows({GetParam()}, base_config(), 1).front();
   // The Fig. 6 shape: Original >= HWLC >= HWLC+DR, with real reductions.
   EXPECT_GT(row.original, 0u);
   EXPECT_LE(row.hwlc, row.original);

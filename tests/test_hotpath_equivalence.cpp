@@ -1,9 +1,10 @@
-// Hot-path equivalence regression: the scheduler no-switch fast path and the
-// parallel experiment harness are pure mechanism — neither may change a
-// single scheduling decision or reported warning. This suite runs the real
-// proxy workload with the fast path on vs off and demands identical
-// results, and checks the pooled Fig. 6 harness against the serial one row
-// by row. (The shadow-page TLB is proven inert at unit level by the
+// Hot-path equivalence regression: the scheduler's O(1) preemption point
+// and the parallel experiment harness are pure mechanism — neither may
+// change a single scheduling decision or reported warning. This suite runs
+// the real proxy workload with the fast path on vs off (the reference mode
+// rescans at every step and checks the runnable count) and demands
+// identical results, and checks the pooled Fig. 6 harness against the
+// serial one row by row. (The shadow-page TLB is proven inert at unit level by the
 // ShadowMap reference-model tests.)
 #include <gtest/gtest.h>
 
@@ -86,15 +87,6 @@ TEST(HotpathEquivalence, ParallelFig6MatchesSerial) {
     EXPECT_EQ(serial[i].hw_lock_fps, pooled[i].hw_lock_fps);
     EXPECT_EQ(serial[i].destructor_fps, pooled[i].destructor_fps);
     EXPECT_EQ(serial[i].remaining, pooled[i].remaining);
-  }
-
-  // And the serial pooled path must equal the original per-row API.
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const sipp::Fig6Row row = sipp::run_fig6_row(cases[i], base);
-    EXPECT_EQ(row.testcase, serial[i].testcase);
-    EXPECT_EQ(row.original, serial[i].original);
-    EXPECT_EQ(row.hwlc, serial[i].hwlc);
-    EXPECT_EQ(row.hwlc_dr, serial[i].hwlc_dr);
   }
 }
 

@@ -28,8 +28,8 @@ struct ProgramSpec {
   int ops_per_thread = 30;
   bool disciplined = false;  // every access under the one global lock
   std::uint64_t program_seed = 1;
-  /// Scheduler no-switch fast path. Must be invisible: verdicts identical
-  /// on or off.
+  /// Scheduler fast path (off = the rescanning reference mode). Must be
+  /// invisible: verdicts identical on or off.
   bool optimized = true;
 };
 

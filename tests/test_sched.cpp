@@ -442,7 +442,8 @@ TEST(Sim, ManyThreads) {
 // hundreds of finished threads behind must schedule exactly as before: the
 // pins below (steps, virtual time, and the hash of the recorded stream,
 // which folds in every SchedSwitch) were captured from a scheduler that
-// still scanned every thread ever spawned.
+// still scanned every thread ever spawned. They must hold with the fast
+// path on and in the reference mode alike.
 
 /// Hash of the recorded stream's schedule: kind, virtual time and thread of
 /// every event plus both ends of every SchedSwitch. Unlike
@@ -472,10 +473,13 @@ struct WavePin {
 
 /// 20 waves of 15 short-lived workers (300 in all) that sleep, contend on
 /// one mutex with main and are joined before the next wave starts.
-void run_thread_waves(const WavePin& pin) {
+/// `fast_path` off is the scheduler's reference mode, which recounts the
+/// runnable set at every step and asserts it matches the kept count.
+void run_thread_waves(const WavePin& pin, bool fast_path) {
   SimConfig cfg;
   cfg.sched.strategy = pin.strategy;
   cfg.sched.seed = pin.seed;
+  cfg.sched.fast_path = fast_path;
   Sim sim(cfg);
   obs::FlightRecorder recorder;
   sim.set_recorder(&recorder);
@@ -500,6 +504,10 @@ void run_thread_waves(const WavePin& pin) {
   });
   ASSERT_TRUE(r.completed());
   ASSERT_EQ(recorder.dropped(), 0u);
+  if (fast_path)
+    EXPECT_GT(r.fast_path_steps, 0u);
+  else
+    EXPECT_EQ(r.fast_path_steps, 0u);
   EXPECT_EQ(r.steps, pin.steps);
   EXPECT_EQ(r.virtual_time, pin.virtual_time);
   EXPECT_EQ(schedule_hash(recorder), pin.stream_hash);
@@ -513,10 +521,12 @@ TEST(FinishedThreads, WavesScheduleAsPinned) {
       {SchedStrategy::RoundRobin, 1, 1281, 2022, 5660428365550202900ull},
   };
   for (const WavePin& pin : pins) {
-    SCOPED_TRACE(testing::Message()
-                 << "strategy " << static_cast<int>(pin.strategy) << " seed "
-                 << pin.seed);
-    run_thread_waves(pin);
+    for (const bool fast_path : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "strategy " << static_cast<int>(pin.strategy) << " seed "
+                   << pin.seed << " fast_path " << fast_path);
+      run_thread_waves(pin, fast_path);
+    }
   }
 }
 

@@ -19,10 +19,11 @@
 #            Chrome trace (spans + flows), span summary and contention
 #            matrix are round-trip validated and replay-compared
 #   --perfbench  additionally build the benchmark (perfbench/) and run
-#            each gated workload for 1 s; fails unless the result line
-#            reports "correct": true and "failed": 0, i.e. the benchmark
-#            still compiles against src/ and every output matches its
-#            reference digest
+#            each gated workload plus long-session (the longest thread
+#            populations, so the most scheduler scans) for 1 s; fails
+#            unless the result line reports "correct": true and
+#            "failed": 0, i.e. the benchmark still compiles against src/
+#            and every output matches its reference digest
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -138,8 +139,8 @@ if [[ "$DEADLOCK" == 1 ]]; then
 fi
 
 if [[ "$PERFBENCH" == 1 ]]; then
-  echo "== perfbench: build + reference digests per gated workload =="
-  for workload in fig6-sweep chaos-soak-observed; do
+  echo "== perfbench: build + reference digests per workload =="
+  for workload in fig6-sweep chaos-soak-observed long-session; do
     result=$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
       | tail -n 1)
     python3 - "$workload" "$result" <<'PY'
