@@ -98,10 +98,13 @@ int main(int argc, char** argv) {
     sipp::ExperimentConfig cfg = base;
     cfg.recorder = &recorder;
     t_rec.push_back(run_once(scenario, cfg, r_rec));
-    if (i == 0)
+    if (i == 0) {
       first_hash = r_rec.recorder_hash;
-    else if (r_rec.recorder_hash != first_hash)
+      first_trace = recorder.chrome_trace_json();
+    } else if (r_rec.recorder_hash != first_hash ||
+               recorder.chrome_trace_json() != first_trace) {
       deterministic = false;
+    }
 
     obs::FlightRecorder recorder2;
     obs::MetricsRegistry metrics;
@@ -112,9 +115,8 @@ int main(int argc, char** argv) {
 
     // The causal layer: spans + contention over a bare recorder. Gated
     // against t_rec (the marginal cost of attribution), and its two JSON
-    // exports must reproduce bit-identically per seed (checked below) —
-    // the stream-hash oracle extends to span events, the matrix to lock
-    // wait accounting.
+    // exports must reproduce bit-identically per seed — the stream-hash
+    // oracle extends to span events, the matrix to lock wait accounting.
     obs::FlightRecorder recorder4;
     obs::SpanTracker spans(&recorder4);
     obs::ContentionTable contention;
@@ -122,10 +124,15 @@ int main(int argc, char** argv) {
     cfg.spans = &spans;
     cfg.contention = &contention;
     t_span.push_back(run_once(scenario, cfg, r_span));
-    if (i == 0)
+    if (i == 0) {
       first_span_hash = r_span.recorder_hash;
-    else if (r_span.recorder_hash != first_span_hash)
+      first_spans = spans.json();
+      first_matrix = contention.json(recorder4);
+    } else if (r_span.recorder_hash != first_span_hash ||
+               spans.json() != first_spans ||
+               contention.json(recorder4) != first_matrix) {
       spans_deterministic = false;
+    }
     cfg.spans = nullptr;
     cfg.contention = nullptr;
 
@@ -136,42 +143,6 @@ int main(int argc, char** argv) {
     cfg.metrics = &metrics2;
     cfg.profiler = &profiler;
     t_full.push_back(run_once(scenario, cfg, r_full));
-  }
-
-  // The same-seed exports (Chrome trace; span summary and contention
-  // matrix) are compared in untimed rounds of their own. Serialising a
-  // whole recording between timed runs slowed the runs after it: with
-  // four identical recorder-only variants, the one right after the
-  // baseline read +6 % and the three after an export +10 %; with the
-  // exports moved here, all four read +6-8 %.
-  for (int i = 0; i < rounds; ++i) {
-    sipp::ExperimentConfig cfg = base;
-    {
-      obs::FlightRecorder recorder;
-      cfg.recorder = &recorder;
-      const sipp::ExperimentResult r = sipp::run_scenario(scenario, cfg);
-      std::string trace = recorder.chrome_trace_json();
-      if (i == 0)
-        first_trace = std::move(trace);
-      else if (r.recorder_hash != first_hash || trace != first_trace)
-        deterministic = false;
-    }
-    obs::FlightRecorder recorder;
-    obs::SpanTracker spans(&recorder);
-    obs::ContentionTable contention;
-    cfg.recorder = &recorder;
-    cfg.spans = &spans;
-    cfg.contention = &contention;
-    const sipp::ExperimentResult r = sipp::run_scenario(scenario, cfg);
-    std::string span_json = spans.json();
-    std::string matrix = contention.json(recorder);
-    if (i == 0) {
-      first_spans = std::move(span_json);
-      first_matrix = std::move(matrix);
-    } else if (r.recorder_hash != first_span_hash ||
-               span_json != first_spans || matrix != first_matrix) {
-      spans_deterministic = false;
-    }
   }
 
   const double rec_overhead = support::median_ratio(t_rec, t_base) - 1.0;

@@ -3,15 +3,9 @@
 // The paper reports that the program runs 8-10x slower on the Valgrind VM
 // without instrumentation and 20-30x slower with Helgrind analysis. We
 // measure the same three stages of our substitute stack:
-//   native      — the proxy handling the same requests one after another on
-//                 the calling thread (no Sim, no events),
+//   native      — plain std::thread/std::mutex (no Sim, no events),
 //   VM only     — the deterministic scheduler with no tools attached,
 //   VM+Helgrind — scheduler plus the HWLC+DR detector.
-// The VM stages dispatch a thread per request. A native thread per request
-// would time an OS thread spawn per request where the VM spawns a fiber:
-// that compares kernel threads with fibers, not the VM's cost, and on T5
-// the two cost about the same. The full run still prints that stage for
-// reference; perfbench's ladder uses the same single-threaded native rung.
 // Absolute factors depend on the substrate; the claim is the ordering and
 // that detection dominates the added cost.
 #include <chrono>
@@ -31,11 +25,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The measured workload: a T5-style mixed scenario through the proxy,
-/// with a thread per request or every request on the calling thread.
-/// Only the request loop is timed — proxy start/shutdown involve
+/// The measured workload: a T5-style mixed scenario through the proxy.
+/// Only the request-dispatch loop is timed — proxy start/shutdown involve
 /// wall-clock reaper sleeps in native mode that would swamp the figure.
-double run_workload(std::size_t repeats, bool thread_per_request) {
+double run_workload(std::size_t repeats) {
   using namespace rg;
   sip::ProxyConfig cfg;
   cfg.faults = sip::FaultConfig::none();
@@ -45,21 +38,15 @@ double run_workload(std::size_t repeats, bool thread_per_request) {
   const sipp::Scenario scenario = sipp::build_testcase(5, 3);
   const auto start = Clock::now();
   for (std::size_t r = 0; r < repeats; ++r)
-    for (const auto& phase : scenario.phases) {
-      if (thread_per_request)
-        (void)dispatcher.dispatch(proxy, phase);
-      else
-        for (const std::string& wire : phase) (void)proxy.handle_wire(wire);
-    }
+    for (const auto& phase : scenario.phases)
+      (void)dispatcher.dispatch(proxy, phase);
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - start).count();
   proxy.shutdown();
   return elapsed;
 }
 
-double seconds_native(std::size_t repeats, bool thread_per_request) {
-  return run_workload(repeats, thread_per_request);
-}
+double seconds_native(std::size_t repeats) { return run_workload(repeats); }
 
 double seconds_sim(std::size_t repeats, rg::rt::Tool* tool) {
   rg::rt::SimConfig cfg;
@@ -67,7 +54,7 @@ double seconds_sim(std::size_t repeats, rg::rt::Tool* tool) {
   rg::rt::Sim sim(cfg);
   if (tool != nullptr) sim.attach(*tool);
   double elapsed = 0.0;
-  sim.run([&] { elapsed = run_workload(repeats, true); });
+  sim.run([&] { elapsed = run_workload(repeats); });
   return elapsed;
 }
 
@@ -77,8 +64,7 @@ int main(int argc, char** argv) {
   using namespace rg;
   std::size_t repeats = 3;
   int rounds = 3;
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  if (smoke) {
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
     // One T5 pass per stage, but best of five interleaved rounds: a single
     // round lets one busy moment of the host reorder the stages.
     repeats = 1;
@@ -91,13 +77,9 @@ int main(int argc, char** argv) {
   std::printf("§4.5 — execution overhead (workload: T5 x %zu, best of %d)\n\n",
               repeats, rounds);
 
-  // The smoke skips the reference stage: its OS threads also expose the
-  // proxy's known cow_string race to real parallelism.
-  const bool threaded_reference = !smoke;
-  support::Accumulator native, native_threaded, vm_only, vm_helgrind;
+  support::Accumulator native, vm_only, vm_helgrind, vm_eraser;
   for (int i = 0; i < rounds; ++i) {
-    native.add(seconds_native(repeats, false));
-    if (threaded_reference) native_threaded.add(seconds_native(repeats, true));
+    native.add(seconds_native(repeats));
     vm_only.add(seconds_sim(repeats, nullptr));
     core::HelgrindTool helgrind(core::HelgrindConfig::hwlc_dr());
     vm_helgrind.add(seconds_sim(repeats, &helgrind));
@@ -112,9 +94,7 @@ int main(int argc, char** argv) {
     std::snprintf(factor, sizeof factor, "%.1fx", t / base);
     table.row(name, buf, factor, paper);
   };
-  row("native (no VM, one thread)", native.min(), "1x");
-  if (threaded_reference)
-    row("native, thread per request (reference)", native_threaded.min(), "");
+  row("native (no VM)", native.min(), "1x");
   row("VM only (scheduler, no tools)", vm_only.min(), "8-10x");
   row("VM + Helgrind HWLC+DR", vm_helgrind.min(), "20-30x");
   std::printf("%s\n", table.render().c_str());
@@ -137,8 +117,6 @@ int main(int argc, char** argv) {
   json.add("repeats", repeats);
   json.add("rounds", rounds);
   json.add("native_s", native.min());
-  if (threaded_reference)
-    json.add("native_thread_per_request_s", native_threaded.min());
   json.add("vm_only_s", vm_only.min());
   json.add("vm_helgrind_s", vm_helgrind.min());
   json.add("vm_only_slowdown", vm_only.min() / base);

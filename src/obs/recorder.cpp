@@ -84,35 +84,22 @@ FlightRecorder::FlightRecorder(const RecorderConfig& config)
       mask_(capacity_ - 1),
       ring_(capacity_) {}
 
-namespace {
-
-void note_name(std::vector<std::optional<std::string>>& names,
-               std::uint64_t id, std::string name) {
-  if (id >= names.size()) names.resize(id + 1);
-  names[id] = std::move(name);
-}
-
-const std::string* noted_name(
-    const std::vector<std::optional<std::string>>& names, std::uint64_t id) {
-  return id < names.size() && names[id] ? &*names[id] : nullptr;
-}
-
-}  // namespace
-
 void FlightRecorder::note_thread_name(rt::ThreadId tid, std::string name) {
-  note_name(thread_names_, tid, std::move(name));
+  thread_names_[tid] = std::move(name);
 }
 
 void FlightRecorder::note_lock_name(std::uint64_t lock, std::string name) {
-  note_name(lock_names_, lock, std::move(name));
+  lock_names_[lock] = std::move(name);
 }
 
 const std::string* FlightRecorder::thread_name(rt::ThreadId tid) const {
-  return noted_name(thread_names_, tid);
+  auto it = thread_names_.find(tid);
+  return it == thread_names_.end() ? nullptr : &it->second;
 }
 
 const std::string* FlightRecorder::lock_name(std::uint64_t lock) const {
-  return noted_name(lock_names_, lock);
+  auto it = lock_names_.find(lock);
+  return it == lock_names_.end() ? nullptr : &it->second;
 }
 
 std::vector<Event> FlightRecorder::snapshot() const {
@@ -121,7 +108,7 @@ std::vector<Event> FlightRecorder::snapshot() const {
   std::vector<Event> out;
   out.reserve(static_cast<std::size_t>(end - begin));
   for (std::uint64_t s = begin; s < end; ++s)
-    out.push_back(event_at(s));
+    out.push_back(ring_[s & mask_]);
   return out;
 }
 
@@ -133,7 +120,7 @@ std::vector<Event> FlightRecorder::last_events(
       this->cursor() > capacity_ ? this->cursor() - capacity_ : 0;
   std::vector<Event> out;
   for (std::uint64_t s = end; s > floor && out.size() < limit;) {
-    const Event e = event_at(--s);
+    const Event& e = ring_[--s & mask_];
     if (filter(e)) out.push_back(e);
   }
   std::reverse(out.begin(), out.end());
@@ -316,12 +303,13 @@ std::string FlightRecorder::chrome_trace_json() const {
   };
 
   // Thread-name metadata, in thread-id order for determinism.
-  for (std::size_t tid = 0; tid < thread_names_.size(); ++tid) {
-    if (!thread_names_[tid]) continue;
+  std::vector<std::pair<std::uint32_t, std::string>> names(
+      thread_names_.begin(), thread_names_.end());
+  std::sort(names.begin(), names.end());
+  for (const auto& [tid, name] : names)
     emit("{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(tid) +
          ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-         json_escape(*thread_names_[tid]) + "\"}}");
-  }
+         json_escape(name) + "\"}}");
 
   for (const Event& e : snapshot()) {
     std::string args = "\"seq\":" + std::to_string(e.seq);

@@ -15,8 +15,8 @@
 //    an equivalence oracle: equal hashes == the two executions raised the
 //    same events in the same order.
 //
-//  * Bounded cost. record() is a seq bump, one 48-byte slot store and a
-//    few multiply-xor rounds for the stream hash; the ring never allocates
+//  * Bounded cost. record() is a seq bump, one slot store and a few
+//    multiply-xor rounds for the stream hash; the ring never allocates
 //    after construction (the address-normalisation table grows by plain
 //    malloc, invisible to the detectors). No locks, no scheduling points:
 //    attaching the recorder cannot perturb a schedule.
@@ -32,8 +32,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rt/ids.hpp"
@@ -296,35 +296,9 @@ class FlightRecorder {
            kind == EventKind::DetectorWarning;
   }
 
-  /// A ring slot: an Event without its seq, which the slot's position
-  /// implies (the ring holds seqs [ring_floor(), cursor())), so a recorded
-  /// event writes 48 bytes instead of 56.
-  struct Slot {
-    std::uint64_t vtime;
-    std::uint64_t a;
-    std::uint64_t b;
-    support::SiteId site;
-    std::uint32_t norm;
-    rt::ThreadId tid;
-    std::uint32_t span;
-    EventKind kind;
-    std::uint8_t flags;
-  };
-  static_assert(sizeof(Slot) == 48);
-  /// The event with sequence number `seq`, which must still be in the ring.
-  Event event_at(std::uint64_t seq) const {
-    const Slot& s = ring_[seq & mask_];
-    return Event{seq,    s.vtime, s.a,    s.b,    s.site,
-                 s.norm, s.tid,   s.span, s.kind, s.flags};
-  }
-  /// How far ahead of the slot it writes record() prefetches for writing.
-  /// The ring is larger than L2, so its next lines are cold; fetching
-  /// them early keeps the slot stores from waiting on them.
-  static constexpr std::uint64_t kPrefetchAhead = 16;
-
   std::size_t capacity_ = 0;  // power of two
   std::size_t mask_ = 0;
-  std::vector<Slot> ring_;
+  std::vector<Event> ring_;
   // Plain counter, not atomic: record() is single-producer by contract and
   // a lock-prefixed increment is a full fence — it drains the store buffer
   // (busy with shadow-memory writes) on every traced event.
@@ -338,9 +312,8 @@ class FlightRecorder {
   const std::vector<std::uint32_t>* active_spans_ = nullptr;
   ContentionTable* contention_ = nullptr;
   AddrMap addr_map_;
-  // Indexed by thread / lock id (both dense); nullopt = never noted.
-  std::vector<std::optional<std::string>> thread_names_;
-  std::vector<std::optional<std::string>> lock_names_;
+  std::unordered_map<std::uint32_t, std::string> thread_names_;
+  std::unordered_map<std::uint64_t, std::string> lock_names_;
 };
 
 /// Declared here (defined in contention.cpp) so the inline record() below
@@ -360,8 +333,8 @@ inline void FlightRecorder::record(EventKind kind, std::uint64_t vtime,
       active_spans_ != nullptr && tid < active_spans_->size()
           ? (*active_spans_)[tid]
           : 0;
-  __builtin_prefetch(&ring_[(seq + kPrefetchAhead) & mask_], 1);
-  ring_[seq & mask_] = Slot{vtime, a, b, site, norm, tid, span, kind, flags};
+  ring_[seq & mask_] =
+      Event{seq, vtime, a, b, site, norm, tid, span, kind, flags};
   // Stream hash: order-sensitive polynomial accumulate over an address-
   // normalised digest of the event, so it is reproducible across runs
   // despite ASLR/heap-layout differences. The per-field multiplies are

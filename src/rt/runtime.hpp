@@ -268,14 +268,11 @@ class Runtime {
   /// (= "normalise the raw address") everywhere else, tombstones included.
   /// Runs on every traced access: a single-entry cache of the last live
   /// allocation hit in front of the O(1) granule probe (untracked
-  /// stack/global addresses probe straight to an empty slot). A caller
-  /// that already holds the block the probe would return passes it as
-  /// `probed` and skips the probe.
-  std::uint64_t trace_identity(Addr addr,
-                               const AllocInfo* probed = nullptr) const {
+  /// stack/global addresses probe straight to an empty slot).
+  std::uint64_t trace_identity(Addr addr) const {
     if (addr - ident_base_ < ident_size_)
       return (1ull << 63) | (ident_seq_ << 32) | (addr - ident_base_);
-    const AllocInfo* b = probed != nullptr ? probed : allocs_.lookup(addr);
+    const AllocInfo* b = allocs_.lookup(addr);
     if (b == nullptr || !b->live || addr - b->base >= b->size) return 0;
     ident_base_ = b->base;
     ident_size_ = b->size;
@@ -286,14 +283,13 @@ class Runtime {
   /// trace() for address-bearing events: attaches trace_identity(addr) so
   /// the recorder's normalisation keys on allocation identity. Used by the
   /// runtime's own memory events and by tools recording detector
-  /// milestones (DetectorShare / DetectorWarning). `probed` as for
-  /// trace_identity.
+  /// milestones (DetectorShare / DetectorWarning).
   void trace_addr(obs::EventKind kind, ThreadId tid, Addr addr,
                   std::uint64_t b, support::SiteId site = support::kUnknownSite,
-                  std::uint8_t flags = 0, const AllocInfo* probed = nullptr) {
+                  std::uint8_t flags = 0) {
     if (recorder_ == nullptr) return;
     recorder_->record_now(kind, tid, addr, b, site, flags,
-                          trace_identity(addr, probed));
+                          trace_identity(addr));
   }
 
  private:
