@@ -19,7 +19,6 @@
 #include "sip/dispatch.hpp"
 #include "sip/proxy.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
 
@@ -84,11 +83,6 @@ int main(int argc, char** argv) {
   std::size_t prev = eraser_total;
   table.row("eraser-basic (no states)", eraser_total, "-");
 
-  support::BenchJson json("ablation");
-  json.config(seed, 1, "T1..T8");
-  json.add("seed", seed);
-  json.add("eraser_basic", eraser_total);
-
   auto add_row = [&](const char* name, const core::HelgrindConfig& cfg) {
     const std::size_t total = total_for(cfg, seed);
     const long long delta =
@@ -96,7 +90,6 @@ int main(int argc, char** argv) {
     char delta_text[24];
     std::snprintf(delta_text, sizeof delta_text, "%+lld", delta);
     table.row(name, total, delta_text);
-    json.add(name, total);
     prev = total;
     return total;
   };
@@ -122,7 +115,5 @@ int main(int argc, char** argv) {
   std::printf("The paper's two contributions (HWLC + DR) remove %.0f%% of "
               "the original tool's warnings (paper: 65-81%%).\n",
               reduction * 100.0);
-  json.add("hwlc_dr_reduction", reduction);
-  json.write();
   return 0;
 }

@@ -15,7 +15,6 @@
 #include "sip/faults.hpp"
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -103,11 +102,5 @@ int main(int argc, char** argv) {
       "Replays are seed-exact: rerun with the same seed to get the same "
       "injection trace and the same per-call outcomes.\n");
 
-  support::BenchJson json("chaos");
-  json.config(seed, 1, "T5 network weather");
-  json.add("seed", seed);
-  json.add("all_converged", all_converged ? "true" : "false");
-  json.add("all_quiet", all_quiet ? "true" : "false");
-  json.write();
   return all_converged && all_quiet ? 0 : 1;
 }

@@ -25,7 +25,6 @@
 #include "sipp/experiment.hpp"
 #include "sipp/hazards.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -137,24 +136,6 @@ int main(int argc, char** argv) {
               runs_equal ? "yes" : "NO");
   std::printf("same-seed predictions identical (%d rounds): %s\n\n", rounds,
               deterministic ? "yes" : "NO");
-
-  support::BenchJson json("deadlock");
-  json.config(seed, static_cast<std::uint64_t>(rounds), scenario.name);
-  json.add("seed", seed);
-  json.add("smoke", smoke ? "true" : "false");
-  json.add("workload", scenario.name);
-  json.add("rounds", rounds);
-  json.add("baseline_s", m_base);
-  json.add("lockgraph_s", m_tool);
-  json.add("hazard_s", m_hz);
-  json.add("lockgraph_overhead", tool_overhead);
-  json.add("edges", r_tool.lockgraph.edges);
-  json.add("naive_inversions", r_tool.lock_order_reports);
-  json.add("predicted_clean", r_tool.predicted_cycles.size());
-  json.add("predicted_hazard", r_hz.predicted_cycles.size());
-  json.add("runs_identical", runs_equal ? "true" : "false");
-  json.add("deterministic", deterministic ? "true" : "false");
-  json.write();
 
   bool failed = false;
   // 5% contract gate; the smoke gate gets 2x headroom for timer noise on

@@ -17,7 +17,6 @@
 #include "sip/dispatch.hpp"
 #include "sip/proxy.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -97,15 +96,6 @@ int main(int argc, char** argv) {
   const bool shape = total_eraser >= total_orig && total_orig >= total_dr;
   std::printf("-> %s\n", shape ? "MATCHES the paper" : "DIVERGES");
 
-  support::BenchJson json("detectors");
-  json.config(seed, 1, "T1..T8");
-  json.add("seed", seed);
-  json.add("total_eraser", total_eraser);
-  json.add("total_original", total_orig);
-  json.add("total_hwlc_dr", total_dr);
-  json.add("total_djit", total_djit);
-  json.add("matches_paper", shape ? "true" : "false");
-  json.write();
   if (!merge_complete)
     std::fprintf(stderr, "hybrid merge lost HWLC+DR locations\n");
   return shape && merge_complete ? 0 : 1;

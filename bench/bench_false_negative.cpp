@@ -13,7 +13,6 @@
 #include "rt/sim.hpp"
 #include "rt/sync.hpp"
 #include "rt/thread.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -86,12 +85,5 @@ int main(int argc, char** argv) {
       "environment\") while basic Eraser reports it under every one -> %s\n",
       shape ? "MATCHES the paper" : "DIVERGES");
 
-  support::BenchJson json("false_negative");
-  json.config(1, static_cast<std::uint64_t>(seeds), "order-dependent-race");
-  json.add("seeds", seeds);
-  json.add("helgrind_hits", helgrind_hits);
-  json.add("eraser_hits", eraser_hits);
-  json.add("matches_paper", shape ? "true" : "false");
-  json.write();
   return shape ? 0 : 1;
 }

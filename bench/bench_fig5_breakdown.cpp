@@ -11,7 +11,6 @@
 
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -30,10 +29,6 @@ int main(int argc, char** argv) {
   for (int n = 1; n <= sipp::kTestCaseCount; ++n) cases.push_back(n);
   const std::vector<sipp::Fig6Row> rows = sipp::run_fig6_rows(cases, base);
 
-  support::BenchJson json("fig5_breakdown");
-  json.config(seed, 1, "fig5 attribution T1..T8");
-  json.add("seed", seed);
-
   support::Table table("Fig. 5 — stacked composition");
   table.header({"Test case", "FP (hardware lock)", "FP (destructor)",
                 "correctly reported", "total"});
@@ -41,9 +36,6 @@ int main(int argc, char** argv) {
     table.row(row.testcase, row.hw_lock_fps, row.destructor_fps,
               row.remaining,
               row.hw_lock_fps + row.destructor_fps + row.remaining);
-    json.add(row.testcase + "_hw_lock_fps", row.hw_lock_fps);
-    json.add(row.testcase + "_destructor_fps", row.destructor_fps);
-    json.add(row.testcase + "_remaining", row.remaining);
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -56,6 +48,5 @@ int main(int argc, char** argv) {
     bar.append(row.hw_lock_fps, 'h');
     std::printf("  %-3s |%s\n", row.testcase.c_str(), bar.c_str());
   }
-  json.write();
   return 0;
 }

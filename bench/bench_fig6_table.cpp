@@ -12,7 +12,6 @@
 
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -40,9 +39,6 @@ int main(int argc, char** argv) {
   const std::vector<sipp::Fig6Row> rows =
       sipp::run_fig6_rows(cases, base, workers);
 
-  support::BenchJson json("fig6_table");
-  json.config(seed, 1, "fig6 T1..T8 x 3 configs");
-  json.add("seed", seed);
   double min_reduction = 1.0, max_reduction = 0.0;
   for (const sipp::Fig6Row& row : rows) {
     char reduction[16];
@@ -51,9 +47,6 @@ int main(int argc, char** argv) {
     table.row(row.testcase, row.original, row.hwlc, row.hwlc_dr, reduction);
     min_reduction = std::min(min_reduction, row.reduction());
     max_reduction = std::max(max_reduction, row.reduction());
-    json.add(row.testcase + "_original", row.original);
-    json.add(row.testcase + "_hwlc", row.hwlc);
-    json.add(row.testcase + "_hwlc_dr", row.hwlc_dr);
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
@@ -62,8 +55,5 @@ int main(int argc, char** argv) {
       "warnings\")\n\n",
       min_reduction * 100.0, max_reduction * 100.0);
   std::printf("CSV:\n%s", table.render_csv().c_str());
-  json.add("min_reduction", min_reduction);
-  json.add("max_reduction", max_reduction);
-  json.write();
   return 0;
 }

@@ -18,7 +18,6 @@
 #include "sipp/experiment.hpp"
 #include "sipp/scenario.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 
 namespace {
 
@@ -164,13 +163,5 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.shadow_tlb_hits),
       static_cast<unsigned long long>(stats.shadow_tlb_misses));
 
-  rg::support::BenchJson json("micro");
-  json.config(cfg.seed, 1, "T1");
-  json.add("seed", cfg.seed);
-  json.add("sched_fast_path_steps", r.sim.fast_path_steps);
-  json.add("sched_steps", r.sim.steps);
-  json.add("shadow_tlb_hits", stats.shadow_tlb_hits);
-  json.add("shadow_tlb_misses", stats.shadow_tlb_misses);
-  json.write();
   return 0;
 }

@@ -36,7 +36,6 @@
 #include "obs/span.hpp"
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -195,32 +194,6 @@ int main(int argc, char** argv) {
       spans_deterministic ? "yes" : "NO",
       static_cast<unsigned long long>(r_span.spans_created),
       static_cast<unsigned long long>(r_span.traces_created));
-
-  support::BenchJson json("observability");
-  json.config(seed, static_cast<std::uint64_t>(rounds), scenario.name);
-  json.add("seed", seed);
-  json.add("smoke", smoke ? "true" : "false");
-  json.add("workload", scenario.name);
-  json.add("rounds", rounds);
-  json.add("baseline_s", m_base);
-  json.add("recorder_s", m_rec);
-  json.add("recorder_metrics_s", m_met);
-  json.add("spans_contention_s", m_span);
-  json.add("full_s", m_full);
-  json.add("recorder_overhead", rec_overhead);
-  json.add("recorder_metrics_overhead", met_overhead);
-  json.add("spans_contention_overhead_vs_recorder", span_overhead);
-  json.add("full_overhead", full_overhead);
-  json.add("recorder_events", r_rec.recorder_events);
-  json.add("recorder_dropped", r_rec.recorder_dropped);
-  json.add("recorder_hash", first_hash);
-  json.add("spans_recorder_hash", first_span_hash);
-  json.add("spans_created", r_span.spans_created);
-  json.add("traces_created", r_span.traces_created);
-  json.add("reports_identical", reports_equal ? "true" : "false");
-  json.add("deterministic", deterministic ? "true" : "false");
-  json.add("spans_deterministic", spans_deterministic ? "true" : "false");
-  json.write();
 
   bool failed = false;
   // The contract gate is 5% on the full run; the smoke gate gets 2x

@@ -7,7 +7,6 @@
 
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -54,13 +53,5 @@ int main(int argc, char** argv) {
       pool_ext == 0 ? "yes" : "NO",
       shape ? "MATCHES the paper" : "DIVERGES");
 
-  support::BenchJson json("ownership");
-  json.config(seed, 1, "T2 dispatch modes");
-  json.add("per_request_base", per_request_base);
-  json.add("pool_base", pool_base);
-  json.add("per_request_ext", per_request_ext);
-  json.add("pool_ext", pool_ext);
-  json.add("matches_paper", shape ? "true" : "false");
-  json.write();
   return shape ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 #include "sip/faults.hpp"
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -95,12 +94,6 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint32_t>{0, 300}
             : std::vector<std::uint32_t>{0, 50, 100, 200, 300};
 
-  support::BenchJson json("resilience");
-  json.config(seed, 1, "T5 fault-rate sweep");
-  json.add("seed", seed);
-  json.add("smoke", smoke ? "true" : "false");
-  json.add("upstream_targets", 3);
-
   support::Table table("goodput under rising two-hop fault rates");
   table.header({"fault rate", "time [s]", "calls", "goodput", "fwd", "retry",
                 "failover", "degraded", "opens", "gave-up", "converged"});
@@ -132,7 +125,6 @@ int main(int argc, char** argv) {
               std::to_string(p.result.degraded_serves),
               std::to_string(p.result.breaker_opens),
               std::to_string(c.give_ups), c.converged() ? "yes" : "NO");
-    json.add("goodput_" + std::to_string(rates[i]) + "pm", p.goodput);
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -144,9 +136,5 @@ int main(int argc, char** argv) {
       monotone ? "yes" : "NO", no_cliff ? "yes" : "NO",
       all_converged ? "yes" : "NO");
 
-  json.add("monotone", monotone ? "true" : "false");
-  json.add("no_cliff", no_cliff ? "true" : "false");
-  json.add("all_converged", all_converged ? "true" : "false");
-  json.write();
   return monotone && no_cliff && all_converged ? 0 : 1;
 }

@@ -17,7 +17,6 @@
 #include "sip/dispatch.hpp"
 #include "sip/proxy.hpp"
 #include "sipp/testcases.hpp"
-#include "support/bench_json.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
   std::printf("§4.5 — execution overhead (workload: T5 x %zu, best of %d)\n\n",
               repeats, rounds);
 
-  support::Accumulator native, vm_only, vm_helgrind, vm_eraser;
+  support::Accumulator native, vm_only, vm_helgrind;
   for (int i = 0; i < rounds; ++i) {
     native.add(seconds_native(repeats));
     vm_only.add(seconds_sim(repeats, nullptr));
@@ -111,17 +110,5 @@ int main(int argc, char** argv) {
       "translation per instruction, our VM pays a scheduling point per\n"
       "instrumented operation.\n");
 
-  support::BenchJson json("slowdown");
-  json.config(3, static_cast<std::uint64_t>(rounds), "T5");
-  json.add("seed", std::uint64_t{3});
-  json.add("repeats", repeats);
-  json.add("rounds", rounds);
-  json.add("native_s", native.min());
-  json.add("vm_only_s", vm_only.min());
-  json.add("vm_helgrind_s", vm_helgrind.min());
-  json.add("vm_only_slowdown", vm_only.min() / base);
-  json.add("vm_helgrind_slowdown", vm_helgrind.min() / base);
-  json.add("ordered", ordered ? "true" : "false");
-  json.write();
   return ordered ? 0 : 1;
 }

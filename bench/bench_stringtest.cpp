@@ -9,19 +9,19 @@
 #include "rt/sim.hpp"
 #include "rt/thread.hpp"
 #include "sip/cow_string.hpp"
-#include "support/bench_json.hpp"
 
 namespace {
 
-/// Fig. 8, transliterated onto the instrumented runtime: a string is
-/// created by main, read-copied by a worker thread, and copied again by
-/// main while the worker may still hold its copy.
+/// Fig. 8, stringtest.cpp ("Test shared read-access of std::string-objects"),
+/// line for line on the instrumented runtime, with the paper's lines as
+/// comments: main creates a string, a worker thread copies it, and main
+/// copies it again while the worker may still hold its copy.
 void stringtest_body() {
   using namespace rg;
-  sip::cow_string text("contents");
+  sip::cow_string text("contents");  // std::string text("contents");
 
-  rt::thread worker(
-      [&] {
+  rt::thread worker(  // pthread_create
+      [&] {           // void* workerThread(void* arguments)
         // std::string text = *(std::string*)arguments;
         sip::cow_string local = text;
         (void)local.size();
@@ -31,7 +31,7 @@ void stringtest_body() {
   rt::sleep_ticks(1000);  // sleep(1);
   sip::cow_string text_copy = text;  // <- reported conflict (Fig. 8 line 22)
 
-  worker.join();
+  worker.join();  // pthread_join
 }
 
 std::size_t run_under(rg::core::BusLockModel model, std::string* report) {
@@ -72,11 +72,5 @@ int main() {
               corrected == 0 ? "[yes]" : "[NO]",
               shape_holds ? "MATCHES the paper" : "DIVERGES");
 
-  rg::support::BenchJson json("stringtest");
-  json.config(0, 1, "figs8-9 shared string");
-  json.add("original_warnings", original);
-  json.add("hwlc_warnings", corrected);
-  json.add("matches_paper", shape_holds ? "true" : "false");
-  json.write();
   return shape_holds ? 0 : 1;
 }

@@ -92,7 +92,9 @@ shadow::LocksetId HelgrindTool::effective_locks(rt::ThreadId tid,
   for (const rt::HeldLock& h : rt_->held_locks(tid)) {
     // Original Helgrind did not intercept pthread_rwlock: those locks are
     // invisible to it.
-    if (!config_.rwlock_api && rt_->lock_is_rw(h.lock)) continue;
+    if (config_.bus_lock_model != BusLockModel::RwLock &&
+        rt_->lock_is_rw(h.lock))
+      continue;
     // Eraser write rule: only locks held in write mode protect a write.
     if (for_write && h.mode == rt::LockMode::Shared) continue;
     v.push_back(h.lock);

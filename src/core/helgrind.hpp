@@ -45,16 +45,14 @@ enum class BusLockModel : std::uint8_t {
 };
 
 struct HelgrindConfig {
+  /// Also gates rw-lock support: rw_mutex locks enter the lockset iff the
+  /// model is RwLock (original Helgrind did not intercept pthread_rwlock).
   BusLockModel bus_lock_model = BusLockModel::Mutex;
   /// Honour VALGRIND_HG_DESTRUCT client requests (the DR improvement).
   bool destructor_annotations = false;
   /// VisualThreads thread segments (on in every configuration the paper
   /// measures; off gives plain per-thread Eraser-with-states for ablation).
   bool thread_segments = true;
-  /// Track rw_mutex objects. Original Helgrind had no rw-lock support; the
-  /// HWLC work added it ("support for the corresponding POSIX API could be
-  /// added easily").
-  bool rwlock_api = false;
   /// §5 future-work extension: message-queue and semaphore hand-offs create
   /// happens-before edges (thread segments).
   bool hb_message_passing = false;
@@ -67,7 +65,6 @@ struct HelgrindConfig {
   static HelgrindConfig hwlc() {
     HelgrindConfig c;
     c.bus_lock_model = BusLockModel::RwLock;
-    c.rwlock_api = true;
     return c;
   }
   static HelgrindConfig hwlc_dr() {

@@ -6,8 +6,8 @@
 // keep. The registry puts the first two behind one insertion-ordered
 // JSON export: tools export through `ToolStats::export_to`, and the
 // proxy's infra gauges are registry-backed storage with the old accessors
-// kept as thin shims. Bench accumulators stay bench-local and reach their
-// BENCH_*.json through `support::BenchJson`.
+// kept as thin shims. Bench accumulators stay bench-local and reach only
+// the bench's printed table.
 //
 // Counters and gauges are plain relaxed atomics — never detector-visible,
 // never a scheduling point — so binding a registry cannot perturb the

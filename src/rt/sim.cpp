@@ -32,8 +32,8 @@ SimResult Sim::run(const std::function<void()>& entry) {
   obs::SpanTracker* const prev_spans = obs::ambient_spans();
   obs::set_ambient_spans(spans_);
 
-  const ThreadId main_tid = runtime_.register_thread(
-      config_.main_thread_name, kNoThread, support::kUnknownSite);
+  const ThreadId main_tid =
+      runtime_.register_thread("main", kNoThread, support::kUnknownSite);
   RG_ASSERT(main_tid == kMainThread);
 
   g_tls_sim = this;

@@ -17,7 +17,6 @@ namespace rg::rt {
 
 struct SimConfig {
   SchedConfig sched;
-  std::string main_thread_name = "main";
 };
 
 /// Outcome of one simulated execution.

@@ -19,9 +19,10 @@ namespace rg::rt {
 
 class Runtime;
 
-/// Hot-path cache counters a tool may expose (all zero when a tool has no
-/// such caches). Aggregated across tools by Runtime::tool_stats().
-/// Only the shadow-map TLB still feeds them.
+/// Shadow-map counters a tool may expose (all zero when a tool has no
+/// shadow map). Aggregated across tools by Runtime::tool_stats(). The
+/// map's last-page TLB feeds the hit/miss pair and its page count feeds
+/// the `shadow_pages` gauge.
 ///
 /// Every counter must appear in the `fields` table below: aggregation and
 /// metrics export are driven by the table, so a counter missing from it

@@ -1,7 +1,7 @@
 // Minimal JSON value + recursive-descent parser.
 //
 // Exists so tests and tools can *round-trip* the JSON this repo emits
-// (Chrome trace-event files, BENCH_*.json, span/contention exports)
+// (Chrome trace-event files, metrics, span/contention exports)
 // instead of grepping for substrings: parse the document back, then
 // assert structure on the value tree. Scope is deliberately small —
 // full JSON input, no comments, no trailing commas, numbers surfaced

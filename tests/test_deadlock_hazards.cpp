@@ -78,9 +78,10 @@ TEST(DeadlockHazards, RecoverySurvivesInversionDeterministically) {
     EXPECT_EQ(first.recorder_hash, second.recorder_hash)
         << hazard_family_name(family);
     EXPECT_EQ(first.recoveries, second.recoveries);
-    if (family == HazardFamily::RegistrarVsUpstream)
+    if (family == HazardFamily::RegistrarVsUpstream) {
       EXPECT_GT(first.recoveries, 0u)
           << "expected an actual deadline expiry + backoff at this seed";
+    }
   }
 }
 

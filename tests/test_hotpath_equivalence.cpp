@@ -1,11 +1,11 @@
 // Hot-path equivalence regression: the scheduler's O(1) preemption point
 // and the parallel experiment harness are pure mechanism — neither may
 // change a single scheduling decision or reported warning. This suite runs
-// the real proxy workload with the fast path on vs off (the reference mode
-// rescans at every step and checks the runnable count) and demands
-// identical results, and checks the pooled Fig. 6 harness against the
-// serial one row by row. (The shadow-page TLB is proven inert at unit level by the
-// ShadowMap reference-model tests.)
+// the real proxy workload (T1, T3 and the §4.5 mixed workload T5) with the
+// fast path on vs off (the reference mode rescans at every step and checks
+// the runnable count) and demands identical results, and checks the pooled
+// Fig. 6 harness against the serial one row by row. (The shadow-page TLB is
+// proven inert at unit level by the ShadowMap reference-model tests.)
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -30,7 +30,7 @@ class HotpathEquivalence
 
 TEST_P(HotpathEquivalence, CachedDetectorMatchesUncached) {
   const std::uint64_t seed = GetParam();
-  for (int testcase : {1, 3}) {
+  for (int testcase : {1, 3, 5}) {
     const sipp::Scenario scenario = sipp::build_testcase(testcase, seed);
     const sipp::ExperimentResult fast =
         sipp::run_scenario(scenario, cached_config(seed, true));

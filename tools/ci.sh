@@ -6,7 +6,7 @@
 #   --fast   skip the chaos-labelled tests in the sanitizer pass (they run
 #            the full fault-injection scenarios and dominate its runtime)
 #   --bench  additionally run the bench-labelled smoke tests against the
-#            (optimized) default build and check BENCH_*.json output
+#            default build
 #   --soak   additionally run the replayable chaos soak matrix (seeds x
 #            fault mixes, every cell replay-verified) on the default build
 #   --trace  additionally smoke the flight recorder: a seeded E6 run with
@@ -56,13 +56,6 @@ ctest --preset default -j
 if [[ "$BENCH" == 1 ]]; then
   echo "== bench: smoke runs of the perf-critical binaries =="
   ctest --preset bench
-  for f in build/bench/BENCH_hotpath.json build/bench/BENCH_slowdown.json \
-           build/bench/BENCH_resilience.json \
-           build/bench/BENCH_observability.json \
-           build/bench/BENCH_deadlock.json \
-           build/bench/BENCH_detectors.json; do
-    [[ -s "$f" ]] || { echo "missing bench result: $f" >&2; exit 1; }
-  done
 fi
 
 if [[ "$TRACE" == 1 ]]; then
