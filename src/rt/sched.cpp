@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <new>
 
 #include "support/assert.hpp"
 #include "support/small_vector.hpp"
@@ -29,7 +30,83 @@ thread_local ThreadId g_tls_tid = kNoThread;
 /// Fiber stack size. Fibers run real proxy/request code, so leave ample
 /// headroom; pages are only committed when touched.
 constexpr std::size_t kFiberStackSize = 256 * 1024;
+
+/// A new fiber's first frame, laid out as rg_fiber_switch pops it (lowest
+/// address first). Its `ret` enters rg_fiber_entry, which calls
+/// `r14(r12, r13)`.
+struct FirstFrame {
+  std::uint32_t mxcsr = 0x1F80;   // round to nearest, exceptions masked
+  std::uint16_t x87_cw = 0x037F;  // the same, 64-bit precision
+  std::uint16_t pad = 0;
+  std::uintptr_t r15 = 0, r14 = 0, r13 = 0, r12 = 0, rbx = 0;
+  std::uintptr_t rbp = 0;  // 0 ends frame-pointer walks here
+  void (*ret)() = nullptr;
+};
+static_assert(sizeof(FirstFrame) == 64, "rg_fiber_switch pops 64 bytes");
 }  // namespace
+
+#if !defined(__x86_64__)
+#error "port rg_fiber_switch and rg_fiber_entry (rt/sched.cpp) to this target"
+#endif
+
+// rg_fiber_switch(save_sp, load_sp) pushes the x86-64 System V callee-saved
+// state (rbp, rbx, r12-r15, MXCSR, x87 control word), stores the stack
+// pointer to *save_sp, loads load_sp and pops the same state from there.
+// The signal mask is not part of a fiber's state: nothing in the program
+// changes it, and saving it would cost a system call per switch.
+// rg_fiber_entry is the bottom frame of every spawned fiber; the
+// `.cfi_undefined rip` ends unwinding (exceptions, ASan traces) there.
+extern "C" {
+void rg_fiber_switch(void** save_sp, void* load_sp);
+void rg_fiber_entry();
+}
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl rg_fiber_switch
+  .hidden rg_fiber_switch
+  .type rg_fiber_switch, @function
+rg_fiber_switch:
+  .cfi_startproc
+  pushq %rbp; .cfi_adjust_cfa_offset 8
+  pushq %rbx; .cfi_adjust_cfa_offset 8
+  pushq %r12; .cfi_adjust_cfa_offset 8
+  pushq %r13; .cfi_adjust_cfa_offset 8
+  pushq %r14; .cfi_adjust_cfa_offset 8
+  pushq %r15; .cfi_adjust_cfa_offset 8
+  subq $8, %rsp; .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp; .cfi_adjust_cfa_offset -8
+  popq %r15; .cfi_adjust_cfa_offset -8
+  popq %r14; .cfi_adjust_cfa_offset -8
+  popq %r13; .cfi_adjust_cfa_offset -8
+  popq %r12; .cfi_adjust_cfa_offset -8
+  popq %rbx; .cfi_adjust_cfa_offset -8
+  popq %rbp; .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size rg_fiber_switch, .-rg_fiber_switch
+
+  .p2align 4
+  .globl rg_fiber_entry
+  .hidden rg_fiber_entry
+  .type rg_fiber_entry, @function
+rg_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  movq %r13, %rsi
+  callq *%r14
+  ud2
+  .cfi_endproc
+  .size rg_fiber_entry, .-rg_fiber_entry
+  .popsection
+)");
 
 std::string DeadlockEvidence::describe() const {
   std::string out = "application deadlock: ";
@@ -122,12 +199,6 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   g_tls_tid = kNoThread;
 }
 
-void Scheduler::fiber_main_trampoline(unsigned hi, unsigned lo, unsigned tid) {
-  auto self = reinterpret_cast<Scheduler*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
-  self->fiber_main(static_cast<ThreadId>(tid));
-}
-
 void Scheduler::spawn(ThreadId tid, std::function<void()> fn) {
   RG_ASSERT_MSG(!aborting_.load(std::memory_order_relaxed),
                 "spawn during teardown");
@@ -141,36 +212,37 @@ void Scheduler::spawn(ThreadId tid, std::function<void()> fn) {
   t->stack.reset(new char[kFiberStackSize]);
   t->stack_bottom = t->stack.get();
   t->stack_size = kFiberStackSize;
-  RG_ASSERT_MSG(getcontext(&t->ctx) == 0, "getcontext failed");
-  t->ctx.uc_stack.ss_sp = t->stack.get();
-  t->ctx.uc_stack.ss_size = kFiberStackSize;
-  t->ctx.uc_link = nullptr;  // fibers exit via fiber_exit, never by return
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&t->ctx, reinterpret_cast<void (*)()>(&fiber_main_trampoline), 3,
-              static_cast<unsigned>(self >> 32),
-              static_cast<unsigned>(self & 0xffffffffu),
-              static_cast<unsigned>(tid));
+  // The first frame sits 16-byte aligned at the top, so rg_fiber_entry
+  // calls fiber_main with the stack aligned as the ABI requires.
+  const std::uintptr_t top =
+      reinterpret_cast<std::uintptr_t>(t->stack.get()) + kFiberStackSize;
+  t->sp = new (reinterpret_cast<void*>(
+      (top - sizeof(FirstFrame)) & ~std::uintptr_t{15})) FirstFrame{
+      .r14 = reinterpret_cast<std::uintptr_t>(&fiber_main),
+      .r13 = tid,
+      .r12 = reinterpret_cast<std::uintptr_t>(this),
+      .ret = &rg_fiber_entry};
   live_.push_back(t.get());
   threads_.push_back(std::move(t));
 }
 
-void Scheduler::fiber_main(ThreadId tid) {
+void Scheduler::fiber_main(Scheduler* self, ThreadId tid) {
 #if defined(RG_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
 #endif
-  if (thread_tls_hook) thread_tls_hook();
-  SimThread& me = slot(tid);
+  if (self->thread_tls_hook) self->thread_tls_hook();
+  SimThread& me = self->slot(tid);
   if (!me.abort) {
     try {
       me.fn();
     } catch (const SimAbort&) {
       // Teardown in progress; fall through to finish.
     } catch (const std::exception& e) {
-      if (!aborting_.load(std::memory_order_relaxed))
-        global_abort(SimOutcome::ClientError, e.what());
+      if (!self->aborting_.load(std::memory_order_relaxed))
+        self->global_abort(SimOutcome::ClientError, e.what());
     }
   }
-  fiber_exit(me);
+  self->fiber_exit(me);
 }
 
 void Scheduler::fiber_exit(SimThread& me) {
@@ -201,6 +273,9 @@ void Scheduler::fiber_exit(SimThread& me) {
 }
 
 void Scheduler::jump(SimThread& from, SimThread& to, bool from_dying) {
+  // A sole sleeper that its own schedule_out woke is handed to itself; a
+  // switch would save its stack pointer and then load the stale one.
+  if (&from == &to) return;
   g_tls_tid = to.id;
 #if defined(RG_ASAN_FIBERS)
   void* fake_stack = nullptr;
@@ -209,7 +284,7 @@ void Scheduler::jump(SimThread& from, SimThread& to, bool from_dying) {
 #else
   (void)from_dying;
 #endif
-  swapcontext(&from.ctx, &to.ctx);
+  rg_fiber_switch(&from.sp, to.sp);
 #if defined(RG_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif

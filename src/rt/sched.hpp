@@ -3,16 +3,14 @@
 // Valgrind executes the client program on a single carrier thread, context-
 // switching between client threads at instrumentation points (the paper,
 // §3.3: "the virtual machine in itself is single-threaded"). We reproduce
-// that literally: simulated threads are ucontext fibers multiplexed on the
-// one OS thread that called run(), so a context switch is a userspace
-// register swap instead of a futex round-trip through the kernel. Every
-// instrumented operation is a preemption point where a *seeded* strategy
-// picks the next runnable thread. Given a seed, an execution — and
-// therefore the set of warnings a detector derives from it — is exactly
-// reproducible.
+// that literally: simulated threads are fibers multiplexed on the one OS
+// thread that called run(), and a context switch swaps the callee-saved
+// registers and the stack pointer in userspace, with no system call
+// (x86-64 only; see sched.cpp). Every instrumented operation is a
+// preemption point where a *seeded* strategy picks the next runnable
+// thread. Given a seed, an execution — and therefore the set of warnings a
+// detector derives from it — is exactly reproducible.
 #pragma once
-
-#include <ucontext.h>
 
 #include <atomic>
 #include <cstdint>
@@ -183,7 +181,9 @@ class Scheduler {
     std::uint64_t block_lock = kNoWaitingLock;
     std::function<void()> fn;
     std::vector<ThreadId> join_waiters;
-    ucontext_t ctx{};
+    /// Saved stack pointer while the thread is switched out: the switch
+    /// pushed its callee-saved registers there (see sched.cpp).
+    void* sp = nullptr;
     /// Fiber stack; null for the bootstrap (main) thread, which runs on
     /// the carrier's native stack.
     std::unique_ptr<char[]> stack;
@@ -205,8 +205,9 @@ class Scheduler {
   /// draws a uniform index. Asserts that its scan agrees with runnable_.
   SimThread* pick_next(ThreadId after);
 
-  /// Raw fiber switch from `from` to `to` (no state changes). `from_dying`
-  /// marks `from`'s stack as never resumed again (sanitizer hint).
+  /// Raw fiber switch from `from` to `to` (no state changes); returns at
+  /// once when they are the same thread. `from_dying` marks `from`'s stack
+  /// as never resumed again (sanitizer hint).
   void jump(SimThread& from, SimThread& to, bool from_dying);
 
   /// Marks `next` running and switches to it. Returns when `from` is
@@ -217,10 +218,8 @@ class Scheduler {
   /// runnable thread, or declares deadlock.
   void schedule_out(SimThread& me);
 
-  /// Entry point of every spawned fiber.
-  void fiber_main(ThreadId tid);
-  /// makecontext-compatible shim: reassembles (Scheduler*, tid) from ints.
-  static void fiber_main_trampoline(unsigned hi, unsigned lo, unsigned tid);
+  /// Entry point of every spawned fiber; spawn's first frame calls it.
+  [[noreturn]] static void fiber_main(Scheduler* self, ThreadId tid);
 
   /// Terminal continuation of a fiber: marks it finished, wakes joiners,
   /// and transfers control to the next thread (or back to run()).

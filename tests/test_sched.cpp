@@ -2,6 +2,8 @@
 // deadlock detection, abort paths.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -306,6 +308,93 @@ TEST(VirtualTime, AllAsleepJumpsForward) {
   EXPECT_GE(r.virtual_time, 1'000'000u);
   // Far fewer steps than ticks: the clock jumped.
   EXPECT_LT(r.steps, 10'000u);
+}
+
+// --- fiber switch ----------------------------------------------------------------
+//
+// What a fiber switch must carry over or provide, whatever mechanism makes
+// it: the floating-point control state of each fiber, the ABI's stack
+// alignment in a new fiber, and a hand-off from a thread to itself.
+
+TEST(FiberSwitch, RoundingModeStaysWithItsFiber) {
+  SimConfig cfg;
+  cfg.sched.strategy = SchedStrategy::RoundRobin;
+  cfg.sched.switch_period = 1;
+  Sim sim(cfg);
+  // Volatile operands keep the divisions at run time, after each switch.
+  volatile double one = 1.0, three = 3.0;
+  const double nearest_third = one / three;
+  int upward = 0, nearest = 0;
+  sim.run([&] {
+    thread up([&] {
+      std::fesetround(FE_UPWARD);
+      for (int i = 0; i < 50; ++i) {
+        yield();
+        // fegetround reads the x87 control word, the division MXCSR.
+        volatile double third = one / three;
+        if (std::fegetround() == FE_UPWARD && third > nearest_third) ++upward;
+      }
+      std::fesetround(FE_TONEAREST);
+    });
+    thread near([&] {
+      for (int i = 0; i < 50; ++i) {
+        yield();
+        volatile double third = one / three;
+        if (std::fegetround() == FE_TONEAREST && third == nearest_third)
+          ++nearest;
+      }
+    });
+    up.join();
+    near.join();
+  });
+  EXPECT_EQ(upward, 50);
+  EXPECT_EQ(nearest, 50);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(FiberSwitch, NewFiberStackIsAligned) {
+  Sim sim;
+  std::uintptr_t where = 1;
+  sim.run([&] {
+    thread t([&] {
+      alignas(16) char local[16] = {};
+      // Through a volatile, so the compiler cannot assume the alignment.
+      volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(local);
+      where = addr;
+    });
+    t.join();
+  });
+  EXPECT_EQ(where % 16, 0u);
+}
+
+TEST(FiberSwitch, SoleSleeperWakesItself) {
+  // Without voluntary switches main blocks in join first; the worker then
+  // sleeps as the only thread that can run, and its own schedule_out wakes
+  // it and hands off to it.
+  SimConfig cfg;
+  cfg.sched.switch_probability = 0.0;
+  Sim sim(cfg);
+  obs::FlightRecorder recorder;
+  sim.set_recorder(&recorder);
+  ThreadId sleeper = kNoThread;
+  bool woke = false;
+  const SimResult r = sim.run([&] {
+    thread t([&] {
+      sleeper = Sim::current_thread();
+      sleep_ticks(1000);
+      woke = true;
+    });
+    t.join();
+  });
+  EXPECT_TRUE(r.completed());
+  EXPECT_TRUE(woke);
+  EXPECT_GE(r.virtual_time, 1000u);
+  bool self_switch = false;
+  for (const obs::Event& e : recorder.snapshot())
+    if (e.kind == obs::EventKind::SchedSwitch && e.tid == sleeper &&
+        e.a == sleeper)
+      self_switch = true;
+  EXPECT_TRUE(self_switch);
 }
 
 // --- deadlock detection -----------------------------------------------------------

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: regular build + full test suite, then an ASan+UBSan build.
+# Tier-1 CI: regular build (-Werror) + full test suite, then an ASan+UBSan
+# build.
 #
 # Usage: tools/ci.sh [--fast] [--bench] [--soak] [--trace] [--deadlock]
 #                    [--obs] [--perfbench]
@@ -49,7 +50,9 @@ for arg in "$@"; do
 done
 
 echo "== tier-1: configure + build + ctest =="
-cmake --preset default
+# Warnings fail the tier-1 build, so the tree (and the scheduler's asm)
+# stays warning-free.
+cmake --preset default -DRG_WERROR=ON
 cmake --build --preset default -j
 ctest --preset default -j
 
