@@ -116,8 +116,7 @@ void BM_SimContextSwitch(benchmark::State& state) {
   const std::size_t switches_per_run = 20000;
   for (auto _ : state) {
     rg::rt::SimConfig cfg;
-    cfg.sched.strategy = rg::rt::SchedStrategy::RoundRobin;
-    cfg.sched.switch_period = 1;
+    cfg.sched.switch_probability = 1.0;
     rg::rt::Sim sim(cfg);
     sim.run([&] {
       rg::rt::tracked<int> cell;

@@ -100,10 +100,10 @@ int main(int argc, char** argv) {
 
   const double base = native.min();
   support::Table table("slowdown vs native execution");
-  table.header({"Stage", "best time [s]", "slowdown", "paper"});
+  table.header({"Stage", "best time [us]", "slowdown", "paper"});
   char buf[32], factor[32];
   auto row = [&](const char* name, double t, const char* paper) {
-    std::snprintf(buf, sizeof buf, "%.4f", t);
+    std::snprintf(buf, sizeof buf, "%.0f", t * 1e6);
     std::snprintf(factor, sizeof factor, "%.1fx", t / base);
     table.row(name, buf, factor, paper);
   };
@@ -112,6 +112,8 @@ int main(int argc, char** argv) {
   row("VM only (scheduler, no tools)", vm_only.min(), "8-10x");
   row("VM + Helgrind HWLC+DR", vm_helgrind.min(), "20-30x");
   std::printf("%s\n", table.render().c_str());
+  std::printf("VM + HWLC+DR / VM only: %.2fx\n\n",
+              vm_helgrind.min() / vm_only.min());
 
   const bool ordered = vm_only.min() > native.min() &&
                        vm_helgrind.min() > vm_only.min();

@@ -6,6 +6,7 @@
 
 #include "obs/span.hpp"
 #include "rt/runtime.hpp"
+#include "rt/sim.hpp"
 
 namespace rg::core {
 
@@ -386,7 +387,8 @@ void LockGraphTool::report_prediction(const CycleCandidate& cycle,
   r.cycle_locks = pc.lock_ids();
   r.cycle_threads = pc.thread_ids();
   r.recorder_cursor = pc.recorder_cursor;
-  if (obs::SpanTracker* st = obs::ambient_spans(); st != nullptr) {
+  const rt::Sim* sim = rt::Sim::current();
+  if (const obs::SpanTracker* st = sim != nullptr ? sim->spans() : nullptr) {
     r.trace_id = st->active_trace(r.access.thread);
     r.span_id = st->active_span(r.access.thread);
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/span.hpp"
+#include "rt/sim.hpp"
 #include "support/glob.hpp"
 #include "support/strings.hpp"
 
@@ -31,7 +32,8 @@ Report make_report(const rt::Runtime& rt, Report::Kind kind,
   if (kind == Report::Kind::DataRace) r.origin = rt.origin_of(access.addr);
   if (const obs::FlightRecorder* fr = rt.recorder(); fr != nullptr)
     r.recorder_cursor = fr->cursor();
-  if (const obs::SpanTracker* st = obs::ambient_spans(); st != nullptr) {
+  const rt::Sim* sim = rt::Sim::current();
+  if (const obs::SpanTracker* st = sim != nullptr ? sim->spans() : nullptr) {
     // Causal attribution: the transaction whose span was active on the
     // offending thread when the warning fired.
     r.trace_id = st->active_trace(access.thread);

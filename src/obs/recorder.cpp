@@ -10,8 +10,6 @@ namespace rg::obs {
 
 namespace {
 
-thread_local FlightRecorder* g_ambient = nullptr;
-
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -19,9 +17,6 @@ std::size_t round_up_pow2(std::size_t n) {
 }
 
 }  // namespace
-
-FlightRecorder* ambient() { return g_ambient; }
-void set_ambient(FlightRecorder* recorder) { g_ambient = recorder; }
 
 const char* to_string(EventKind kind) {
   switch (kind) {

@@ -363,12 +363,4 @@ inline void FlightRecorder::record(EventKind kind, std::uint64_t vtime,
 /// control characters).
 std::string json_escape(std::string_view text);
 
-// --- ambient recorder --------------------------------------------------------
-// The recorder governing the calling OS thread (simulated threads all run
-// on the one carrier thread, so one thread-local covers a whole Sim).
-// Installed by Sim::run around the execution; layers that are not plumbed
-// through the Runtime (SIP transactions, breaker logs) record through it.
-FlightRecorder* ambient();
-void set_ambient(FlightRecorder* recorder);
-
 }  // namespace rg::obs

@@ -4,8 +4,6 @@ namespace rg::obs {
 
 namespace {
 
-thread_local SpanTracker* g_ambient_spans = nullptr;
-
 /// Virtual-tick bounds for the per-class latency histograms: powers of two
 /// from 16 to 2^20, fixed so exports are comparable across runs.
 std::vector<std::uint64_t> latency_bounds() {
@@ -15,9 +13,6 @@ std::vector<std::uint64_t> latency_bounds() {
 }
 
 }  // namespace
-
-SpanTracker* ambient_spans() { return g_ambient_spans; }
-void set_ambient_spans(SpanTracker* spans) { g_ambient_spans = spans; }
 
 const char* to_string(TxnClass cls) {
   switch (cls) {

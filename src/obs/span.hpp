@@ -156,12 +156,4 @@ class SpanTracker {
   std::vector<std::unique_ptr<Histogram>> latency_;
 };
 
-// --- ambient tracker ---------------------------------------------------------
-// Same pattern as obs::ambient(): all simulated threads share one carrier
-// OS thread, so a thread-local covers the whole Sim. Installed by Sim::run;
-// layers above the runtime (dispatchers, handlers, the chaos client) open
-// spans through it via rt::TraceSpan.
-SpanTracker* ambient_spans();
-void set_ambient_spans(SpanTracker* spans);
-
 }  // namespace rg::obs

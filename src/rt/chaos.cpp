@@ -76,12 +76,11 @@ void ChaosEngine::record(FaultKind kind, std::uint64_t target,
   rec.attempt = attempt;
   rec.detail = detail;
   trace_.push_back(rec);
-  if (obs::FlightRecorder* fr = obs::ambient(); fr != nullptr) {
-    Sim* sim = Sim::current();
-    fr->record(obs::EventKind::ChaosInject, rec.vtime,
-               sim != nullptr ? sim->sched().current() : kNoThread, target,
-               detail, support::kUnknownSite, static_cast<std::uint8_t>(kind));
-  }
+  Sim* sim = Sim::current();
+  if (obs::FlightRecorder* fr = sim != nullptr ? sim->recorder() : nullptr)
+    fr->record(obs::EventKind::ChaosInject, rec.vtime, sim->sched().current(),
+               target, detail, support::kUnknownSite,
+               static_cast<std::uint8_t>(kind));
   switch (kind) {
     case FaultKind::Drop:
       ++dropped_;

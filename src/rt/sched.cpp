@@ -182,7 +182,7 @@ void Scheduler::run(ThreadId main_tid, const std::function<void()>& entry) {
   while (!live_.empty()) {
     if (!aborting_.load(std::memory_order_relaxed)) {
       service_sleepers();
-      SimThread* next = pick_next(0);
+      SimThread* next = pick_next();
       if (next == nullptr) {
         record_deadlock();
         global_abort(SimOutcome::Deadlocked, "deadlock");
@@ -230,7 +230,6 @@ void Scheduler::fiber_main(Scheduler* self, ThreadId tid) {
 #if defined(RG_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
 #endif
-  if (self->thread_tls_hook) self->thread_tls_hook();
   SimThread& me = self->slot(tid);
   if (!me.abort) {
     try {
@@ -251,7 +250,7 @@ void Scheduler::fiber_exit(SimThread& me) {
   bool resume_only = false;  // plain resume (teardown/return-to-main)
   if (!aborting_.load(std::memory_order_relaxed) && !live_.empty()) {
     service_sleepers();
-    next = pick_next(0);
+    next = pick_next();
     if (next == nullptr) {
       // Threads remain but none can ever run again.
       record_deadlock();
@@ -317,7 +316,6 @@ void Scheduler::preempt() {
   steps_.store(steps_now, std::memory_order_relaxed);
   const std::uint64_t vt = vtime_.load(std::memory_order_relaxed) + 1;
   vtime_.store(vt, std::memory_order_relaxed);
-  ++since_switch_;
   if (steps_now > config_.max_steps) {
     SimThread& me = slot(g_tls_tid);
     global_abort(SimOutcome::StepLimit, "scheduler step limit reached");
@@ -336,26 +334,16 @@ void Scheduler::preempt() {
                       })) == runnable_,
                   "runnable count out of step");
 
-  // The strategy's one decision: keep running, or switch.
-  bool stay = runnable_ == 0;
-  if (!stay) {
-    switch (config_.strategy) {
-      case SchedStrategy::RoundRobin:
-        stay = since_switch_ < config_.switch_period;
-        break;
-      case SchedStrategy::Random:
-        stay = !rng_.chance(switch_chance_num_, 1'000'000);
-        break;
-    }
-  }
+  // The one decision: keep running, or switch.
+  const bool stay =
+      runnable_ == 0 || !rng_.chance(switch_chance_num_, 1'000'000);
   if (stay) {
     if (!scan) ++fast_steps_;
     return;
   }
   SimThread& me = slot(g_tls_tid);
-  SimThread* next = pick_next(me.id);
+  SimThread* next = pick_next();
   set_state(me, RunState::Runnable);
-  since_switch_ = 0;
   hand_off(me, *next);
   if (me.abort) {
     if (me.id == main_tid_) unwind_workers(me);
@@ -421,7 +409,7 @@ ThreadId Scheduler::current() const { return g_tls_tid; }
 
 void Scheduler::schedule_out(SimThread& me) {
   service_sleepers();
-  SimThread* next = pick_next(0);
+  SimThread* next = pick_next();
   if (next == nullptr) {
     // Nothing runnable and nothing due to wake: the program under test is
     // deadlocked.
@@ -505,23 +493,13 @@ void Scheduler::service_sleepers() {
   }
 }
 
-Scheduler::SimThread* Scheduler::pick_next(ThreadId after) {
+Scheduler::SimThread* Scheduler::pick_next() {
   support::small_vector<SimThread*, 16> runnable;
   for (SimThread* t : live_)
     if (t->state == RunState::Runnable) runnable.push_back(t);
   RG_ASSERT_MSG(runnable.size() == runnable_, "runnable count out of step");
   if (runnable.empty()) return nullptr;
-
-  switch (config_.strategy) {
-    case SchedStrategy::RoundRobin:
-      // live_ is in id order: the first id above `after`, else wrap.
-      for (SimThread* t : runnable)
-        if (t->id > after) return t;
-      return runnable[0];
-    case SchedStrategy::Random:
-      return runnable[rng_.below(runnable.size())];
-  }
-  RG_UNREACHABLE("bad strategy");
+  return runnable[rng_.below(runnable.size())];
 }
 
 void Scheduler::global_abort(SimOutcome outcome, std::string reason) {

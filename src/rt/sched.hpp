@@ -7,9 +7,9 @@
 // thread that called run(), and a context switch swaps the callee-saved
 // registers and the stack pointer in userspace, with no system call
 // (x86-64 only; see sched.cpp). Every instrumented operation is a
-// preemption point where a *seeded* strategy picks the next runnable
-// thread. Given a seed, an execution — and therefore the set of warnings a
-// detector derives from it — is exactly reproducible.
+// preemption point where a *seeded* draw decides whether to switch and to
+// which runnable thread. Given a seed, an execution — and therefore the set
+// of warnings a detector derives from it — is exactly reproducible.
 #pragma once
 
 #include <atomic>
@@ -31,26 +31,18 @@ struct SimAbort {
   std::string reason;
 };
 
-/// Interleaving strategies.
-enum class SchedStrategy : std::uint8_t {
-  /// Switch to the next runnable thread (by id) every `switch_period` steps.
-  RoundRobin,
-  /// At each step, switch to a uniformly random runnable thread with
-  /// probability `switch_probability`.
-  Random,
-};
-
 struct SchedConfig {
   std::uint64_t seed = 1;
-  SchedStrategy strategy = SchedStrategy::Random;
-  std::uint32_t switch_period = 3;
+  /// At each step, switch to a uniformly random runnable thread with this
+  /// probability. At 1.0 every step switches whenever another thread is
+  /// runnable, so two runnable threads alternate strictly.
   double switch_probability = 0.25;
   /// Hard cap on preemption points; exceeding it aborts the run (guards
   /// against livelock in a buggy program under test).
   std::uint64_t max_steps = 100'000'000;
   /// O(1) preemption points. On: a step that switches no thread touches
-  /// only the step counters, the runnable count and the strategy's one
-  /// decision, and wakes sleepers only once the earliest deadline is due.
+  /// only the step counters, the runnable count and the one switch draw,
+  /// and wakes sleepers only once the earliest deadline is due.
   /// Off is the reference mode: every step services the sleepers and
   /// recounts the runnable set, asserting it matches the maintained count.
   /// Schedules are bit-identical either way.
@@ -100,7 +92,7 @@ class Scheduler {
   /// scheduled.
   void spawn(ThreadId tid, std::function<void()> fn);
 
-  /// Preemption point: gives the strategy a chance to switch threads.
+  /// Preemption point: gives the scheduler a chance to switch threads.
   /// Called by every instrumented operation.
   void preempt();
 
@@ -157,10 +149,6 @@ class Scheduler {
   /// readers (the recorder, the fibers' virtual_time() calls) run there too.
   const std::atomic<std::uint64_t>* vtime_source() const { return &vtime_; }
 
-  /// Installed by Sim so fibers inherit the ambient context. Called at
-  /// fiber start (idempotent on a single carrier thread).
-  std::function<void()> thread_tls_hook;
-
  private:
   enum class RunState : std::uint8_t {
     Runnable,
@@ -199,11 +187,9 @@ class Scheduler {
   /// Runnable threads.
   void set_state(SimThread& t, RunState s);
 
-  /// Picks a Runnable thread to switch to, or nullptr when there is none.
-  /// RoundRobin takes the first runnable id above `after`, wrapping; the
-  /// entry points that park or retire the running thread pass 0. Random
-  /// draws a uniform index. Asserts that its scan agrees with runnable_.
-  SimThread* pick_next(ThreadId after);
+  /// Picks a uniformly random Runnable thread to switch to, or nullptr
+  /// when there is none. Asserts that its scan agrees with runnable_.
+  SimThread* pick_next();
 
   /// Raw fiber switch from `from` to `to` (no state changes); returns at
   /// once when they are the same thread. `from_dying` marks `from`'s stack
@@ -260,15 +246,14 @@ class Scheduler {
   /// (ids are assigned in creation order) and finish_thread() erases. Every
   /// scan that ignores finished threads walks this instead of threads_, so
   /// a long run's finished threads cost nothing per scheduling decision.
-  /// It must keep threads_' relative order: Random's pick index and
-  /// RoundRobin's choice depend on it.
+  /// It must keep threads_' relative order: pick_next's index depends on
+  /// it.
   std::vector<SimThread*> live_;
   ThreadId main_tid_ = kNoThread;
   /// Bumped by a relaxed load and store: the carrier is the only writer.
   std::atomic<std::uint64_t> steps_{0};
   std::atomic<std::uint64_t> vtime_{0};
   std::uint64_t fast_steps_ = 0;
-  std::uint32_t since_switch_ = 0;
   /// Number of Runnable threads (the Running one excluded).
   std::size_t runnable_ = 0;
   /// Earliest wake_at of any sleeper (~0 if none). Only service_sleepers

@@ -1,6 +1,5 @@
 #include "rt/sim.hpp"
 
-#include "obs/span.hpp"
 #include "support/assert.hpp"
 
 namespace rg::rt {
@@ -9,9 +8,7 @@ namespace {
 thread_local Sim* g_tls_sim = nullptr;
 }  // namespace
 
-Sim::Sim(const SimConfig& config) : config_(config), sched_(config.sched) {
-  sched_.thread_tls_hook = [this] { g_tls_sim = this; };
-}
+Sim::Sim(const SimConfig& config) : config_(config), sched_(config.sched) {}
 
 Sim* Sim::current() { return g_tls_sim; }
 
@@ -25,25 +22,17 @@ SimResult Sim::run(const std::function<void()>& entry) {
   RG_ASSERT_MSG(g_tls_sim == nullptr, "nested simulations are not supported");
   ran_ = true;
 
-  // Ambient recorder/tracker scope: all fibers run on this carrier thread,
-  // so one thread-local install covers every simulated thread for the run.
-  obs::FlightRecorder* const prev_ambient = obs::ambient();
-  obs::set_ambient(recorder_);
-  obs::SpanTracker* const prev_spans = obs::ambient_spans();
-  obs::set_ambient_spans(spans_);
-
+  // All fibers run on this carrier thread, so one thread-local covers every
+  // simulated thread. It spans main's registration and the tools' finish
+  // too: reports raised in on_finish find this Sim's span tracker.
+  g_tls_sim = this;
   const ThreadId main_tid =
       runtime_.register_thread("main", kNoThread, support::kUnknownSite);
   RG_ASSERT(main_tid == kMainThread);
-
-  g_tls_sim = this;
   sched_.run(main_tid, entry);
-  g_tls_sim = nullptr;
-
   runtime_.thread_exited(main_tid);
   runtime_.finish();
-  obs::set_ambient_spans(prev_spans);
-  obs::set_ambient(prev_ambient);
+  g_tls_sim = nullptr;
 
   SimResult result;
   result.outcome = sched_.outcome();

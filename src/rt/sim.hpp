@@ -1,10 +1,13 @@
 // Sim — one observed execution of a program under test.
 //
 // Couples a Runtime (event fan-out to tools) with a Scheduler (deterministic
-// interleaving) and provides the ambient context the instrumented primitives
-// look up. When no Sim is current on a thread, the primitives fall back to
-// plain native synchronisation with zero event traffic — that mode is the
-// "no Valgrind" baseline of the §4.5 performance experiment.
+// interleaving) and is the one ambient context: the instrumented primitives
+// and the layers above them (SIP transactions, breakers, chaos injection,
+// span scopes, reports) reach the runtime, scheduler, recorder and span
+// tracker through Sim::current(). When no Sim is current on a thread, the
+// primitives fall back to plain native synchronisation with zero event
+// traffic — that mode is the "no Valgrind" baseline of the §4.5
+// performance experiment.
 #pragma once
 
 #include <functional>
@@ -51,9 +54,9 @@ class Sim {
   void attach(Tool& tool) { runtime_.attach(tool); }
 
   /// Attaches a flight recorder for the whole execution: its clock becomes
-  /// the scheduler's virtual time, the runtime and scheduler mirror their
-  /// events into it, and run() installs it as the ambient recorder so
-  /// layers above the runtime (SIP transactions, breakers) can record too.
+  /// the scheduler's virtual time, and the runtime and scheduler mirror
+  /// their events into it. Layers above the runtime (SIP transactions,
+  /// breakers, chaos injection) record through Sim::current()->recorder().
   /// Must be called before run(); caller keeps ownership.
   void set_recorder(obs::FlightRecorder* recorder) {
     recorder_ = recorder;
@@ -68,11 +71,11 @@ class Sim {
     runtime_.set_profiler(profiler);
   }
 
-  /// Attaches a span tracker: run() installs it as the ambient tracker so
-  /// layers above the runtime (dispatchers, SIP handlers, the chaos client)
-  /// can open causal spans via rt::TraceSpan. The tracker must already be
-  /// bound to this Sim's recorder (SpanTracker's constructor does that).
-  /// Caller keeps ownership; call before run().
+  /// Attaches a span tracker. Layers above the runtime (dispatchers, SIP
+  /// handlers, the chaos client) open causal spans in it via rt::TraceSpan,
+  /// and reports attribute warnings to its active span. The tracker must
+  /// already be bound to this Sim's recorder (SpanTracker's constructor
+  /// does that). Caller keeps ownership; call before run().
   void set_spans(obs::SpanTracker* spans) { spans_ = spans; }
   obs::SpanTracker* spans() const { return spans_; }
 
@@ -81,7 +84,8 @@ class Sim {
   SimResult run(const std::function<void()>& entry);
 
   /// The Sim governing the calling OS thread, or nullptr when the thread is
-  /// not simulated (native mode).
+  /// not simulated (native mode). run() keeps it current from main's
+  /// registration until the tools' on_finish has returned.
   static Sim* current();
 
   /// ThreadId of the calling simulated thread. Only valid under a Sim.

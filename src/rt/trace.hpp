@@ -1,12 +1,11 @@
-// rt::TraceSpan / rt::TraceAdopt — RAII causal-span scopes for code running
-// under a Sim.
+// rt::TraceSpan — RAII causal-span scope for code running under a Sim.
 //
 // The span layer lives in obs/ and knows nothing about simulated threads;
-// these helpers bridge the gap: they resolve the ambient SpanTracker (the
-// one Sim::run installed) and the current simulated ThreadId, and degrade
-// to exact no-ops when either is missing — so the SIP stack can be traced
-// unconditionally and pay nothing when no tracker is attached (the §4.5
-// baseline stays a baseline).
+// this helper bridges the gap: it resolves the current Sim's SpanTracker
+// and the current simulated ThreadId, and degrades to an exact no-op when
+// either is missing — so the SIP stack can be traced unconditionally and
+// pay nothing when no tracker is attached (the §4.5 baseline stays a
+// baseline).
 //
 // Usage:
 //   {
@@ -16,7 +15,8 @@
 //
 // Cross-thread hand-off (producer → worker):
 //   producer:  job->handoff = rt::trace_handoff();
-//   worker:    rt::TraceAdopt span(job->handoff, "sip.worker");
+//   worker:    rt::TraceSpan span("sip.worker", 0, obs::TxnClass::Other,
+//                                 job->handoff);
 #pragma once
 
 #include <cstdint>
@@ -30,59 +30,30 @@ namespace rg::rt {
 /// The calling simulated thread's (trace, span) for packaging into a job;
 /// a null handoff outside a Sim or without a tracker.
 inline obs::SpanHandoff trace_handoff() {
-  obs::SpanTracker* const tracker = obs::ambient_spans();
-  if (tracker == nullptr || Sim::current() == nullptr) return {};
-  return tracker->handoff(Sim::current_thread());
+  Sim* const sim = Sim::current();
+  if (sim == nullptr || sim->spans() == nullptr) return {};
+  return sim->spans()->handoff(Sim::current_thread());
 }
 
-/// Opens a span on the current simulated thread for the enclosing scope;
-/// nests under the thread's active span (or roots a fresh trace).
+/// Opens a span on the current simulated thread for the enclosing scope.
+/// It continues `from` (the cross-thread flow edge) when that is set, and
+/// otherwise nests under the thread's active span or roots a fresh trace.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name, std::uint64_t detail = 0,
-                     obs::TxnClass cls = obs::TxnClass::Other)
-      : tracker_(obs::ambient_spans()) {
-    if (tracker_ == nullptr || Sim::current() == nullptr) {
-      tracker_ = nullptr;
-      return;
-    }
+                     obs::TxnClass cls = obs::TxnClass::Other,
+                     const obs::SpanHandoff& from = {}) {
+    Sim* const sim = Sim::current();
+    tracker_ = sim != nullptr ? sim->spans() : nullptr;
+    if (tracker_ == nullptr) return;
     tid_ = Sim::current_thread();
-    tracker_->begin_span(tid_, name, detail, cls);
+    tracker_->adopt(tid_, from, name, detail, cls);
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   ~TraceSpan() {
-    if (tracker_ != nullptr) tracker_->end_span(tid_);
-  }
-
- private:
-  obs::SpanTracker* tracker_;
-  ThreadId tid_ = kNoThread;
-};
-
-/// Opens a span continuing a producer's handoff (the cross-thread flow
-/// edge); degrades to a fresh root on a null handoff, and to a no-op
-/// outside a Sim or without a tracker.
-class TraceAdopt {
- public:
-  explicit TraceAdopt(const obs::SpanHandoff& from, std::string_view name,
-                      std::uint64_t detail = 0,
-                      obs::TxnClass cls = obs::TxnClass::Other)
-      : tracker_(obs::ambient_spans()) {
-    if (tracker_ == nullptr || Sim::current() == nullptr) {
-      tracker_ = nullptr;
-      return;
-    }
-    tid_ = Sim::current_thread();
-    tracker_->adopt(tid_, from, name, detail, cls);
-  }
-
-  TraceAdopt(const TraceAdopt&) = delete;
-  TraceAdopt& operator=(const TraceAdopt&) = delete;
-
-  ~TraceAdopt() {
     if (tracker_ != nullptr) tracker_->end_span(tid_);
   }
 

@@ -40,7 +40,8 @@ std::vector<std::string> ThreadPerRequestDispatcher::dispatch(
       threads.emplace_back(
           [&proxy, raw] {
             RG_FRAME();
-            rt::TraceAdopt span(raw->handoff, "sip.worker");
+            rt::TraceSpan span("sip.worker", 0, obs::TxnClass::Other,
+                               raw->handoff);
             raw->state.store(1);
             raw->response_marker.write();
             raw->response = proxy.handle_wire(raw->wire);
@@ -82,7 +83,8 @@ std::vector<std::string> ThreadPoolDispatcher::dispatch(
           RG_FRAME();
           Job* job = nullptr;
           while (requests.get(job)) {
-            rt::TraceAdopt span(job->handoff, "sip.worker");
+            rt::TraceSpan span("sip.worker", 0, obs::TxnClass::Other,
+                               job->handoff);
             job->state.store(1);  // <- the Fig. 11 warning site
             job->response_marker.write();
             job->response = proxy.handle_wire(job->wire);

@@ -10,6 +10,13 @@
 
 namespace rg::sip {
 
+namespace {
+/// The domains the proxy serves. The first is its home domain, the one
+/// sipp::MessageFactory addresses its requests to.
+constexpr std::string_view kDomains[] = {"example.com", "voip.example.net",
+                                         "pbx.example.org"};
+}  // namespace
+
 // --- handlers -----------------------------------------------------------------
 
 class RegisterHandler final : public RequestHandler {
@@ -111,10 +118,8 @@ void Proxy::start(const std::source_location& /*loc*/) {
   RG_ASSERT_MSG(!started_, "proxy already started");
   started_ = true;
 
-  modules_.add_domain(config_.domain, "sip:core." + config_.domain + ";lr",
-                      70);
-  for (const std::string& d : config_.extra_domains)
-    modules_.add_domain(d, "sip:core." + d + ";lr", 70);
+  for (std::string_view d : kDomains)
+    modules_.add_domain(d, "sip:core." + std::string(d) + ";lr", 70);
 
   handlers_[static_cast<std::size_t>(Method::Register)] = new RegisterHandler;
   handlers_[static_cast<std::size_t>(Method::Invite)] = new InviteHandler;
@@ -245,7 +250,7 @@ void Proxy::reaper_loop() {
     transactions_.reap();
     // The reaper consults domain data each round; during a faulty
     // shutdown this races with the unlocked teardown touch.
-    (void)modules_.find_domain(config_.domain);
+    (void)modules_.find_domain(std::string(kDomains[0]));
     request_log_.trim(8);
     transaction_log_.trim(8);
   }

@@ -71,10 +71,6 @@ struct ProxyConfig {
   /// Upstream resilience layer. Zero targets (the default) disables
   /// forwarding entirely, so classic runs see a bit-identical event stream.
   UpstreamConfig upstream;
-  std::string domain = "example.com";
-  /// Additional domains the proxy serves.
-  std::vector<std::string> extra_domains = {"voip.example.net",
-                                            "pbx.example.org"};
   std::uint64_t binding_ttl = 100000;
   std::uint64_t reaper_interval = 200;
   /// Reap terminated transactions every N handled requests.

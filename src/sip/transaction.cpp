@@ -57,11 +57,9 @@ void ServerTransaction::set_state(TxState next,
                                   const std::source_location& /*loc*/) {
   // Caller holds mu_.
   state_.store(next);
-  if (obs::FlightRecorder* fr = obs::ambient(); fr != nullptr)
-    fr->record_now(obs::EventKind::TxnState,
-                   rt::Sim::current() != nullptr
-                       ? rt::Sim::current()->sched().current()
-                       : rt::kNoThread,
+  rt::Sim* sim = rt::Sim::current();
+  if (obs::FlightRecorder* fr = sim != nullptr ? sim->recorder() : nullptr)
+    fr->record_now(obs::EventKind::TxnState, sim->sched().current(),
                    support::intern(branch_), static_cast<std::uint64_t>(next));
   // Every state change re-arms the retransmission timers.
   timers_->arm(state_.load() == TxState::Terminated ? 0 : 1);

@@ -303,11 +303,10 @@ void UpstreamPool::record_transition(std::uint32_t target, BreakerState from,
     rec.cooldown = cooldown;
     log_.push_back(rec);
     if (to == BreakerState::Open) ++opens_;
-    if (obs::FlightRecorder* fr = obs::ambient(); fr != nullptr)
+    rt::Sim* sim = rt::Sim::current();
+    if (obs::FlightRecorder* fr = sim != nullptr ? sim->recorder() : nullptr)
       fr->record(obs::EventKind::BreakerTransition, rec.vtime,
-                 rt::Sim::current() != nullptr ? rt::Sim::current()->sched().current()
-                                               : rt::kNoThread,
-                 target,
+                 sim->sched().current(), target,
                  obs::pack_breaker(static_cast<std::uint8_t>(from),
                                    static_cast<std::uint8_t>(to), cooldown));
   }

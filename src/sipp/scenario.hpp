@@ -27,6 +27,7 @@ struct Scenario {
 /// Deterministic SIP wire-message builder.
 class MessageFactory {
  public:
+  /// The default is the proxy's home domain (kDomains in sip/proxy.cpp).
   explicit MessageFactory(std::string domain = "example.com");
 
   /// REGISTER sip:domain with Contact for user.

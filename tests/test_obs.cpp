@@ -12,6 +12,7 @@
 #include "obs/recorder.hpp"
 #include "rt/tool.hpp"
 #include "sipp/experiment.hpp"
+#include "sipp/soak.hpp"
 #include "sipp/testcases.hpp"
 #include "support/json.hpp"
 
@@ -410,6 +411,39 @@ TEST(Observability, ProfilerCountsMatchDispatchedEvents) {
   const std::string table = prof.render();
   EXPECT_NE(table.find("helgrind"), std::string::npos);
   EXPECT_NE(table.find("TOTAL"), std::string::npos);
+}
+
+TEST(Observability, DomainLayersRecordThroughTheSim) {
+  // Chaos injection, breaker transitions and SIP transaction states are
+  // recorded by layers above the runtime, which find the recorder through
+  // Sim::current(). A T5 run with faults on both hops and upstream targets
+  // must record all three kinds, and replay them bit-identically. Seed 6
+  // opens a breaker under this mix (seed 3, for one, opens none).
+  const sipp::SoakMix both_hops = sipp::default_soak_mixes().back();
+  ASSERT_EQ(both_hops.name, "both-hops");
+  auto run = [&](FlightRecorder& rec) {
+    sipp::ExperimentConfig cfg = sipp::soak_experiment(6, both_hops);
+    cfg.recorder = &rec;
+    return sipp::run_scenario(sipp::build_testcase(5, cfg.seed), cfg);
+  };
+  RecorderConfig big;
+  big.capacity = 1u << 18;
+  FlightRecorder r1(big), r2(big);
+  const sipp::ExperimentResult a = run(r1);
+  const sipp::ExperimentResult b = run(r2);
+  ASSERT_EQ(r1.dropped(), 0u);
+  ASSERT_GT(a.breaker_opens, 0u);
+  std::size_t chaos = 0, breaker = 0, txn = 0;
+  for (const Event& e : r1.snapshot()) {
+    chaos += e.kind == EventKind::ChaosInject;
+    breaker += e.kind == EventKind::BreakerTransition;
+    txn += e.kind == EventKind::TxnState;
+  }
+  EXPECT_GT(chaos, 0u);
+  EXPECT_GT(breaker, 0u);
+  EXPECT_GT(txn, 0u);
+  EXPECT_EQ(a.recorder_hash, b.recorder_hash);
+  EXPECT_EQ(a.recorder_events, b.recorder_events);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Scheduler semantics: determinism, strategies, blocking, virtual time,
-// deadlock detection, abort paths.
+// Scheduler semantics: determinism, switch probability, blocking, virtual
+// time, deadlock detection, abort paths.
 #include <gtest/gtest.h>
 
 #include <cfenv>
@@ -11,6 +11,7 @@
 #include "rt/sim.hpp"
 #include "rt/sync.hpp"
 #include "rt/thread.hpp"
+#include "rt/tool.hpp"
 
 namespace rg::rt {
 namespace {
@@ -34,6 +35,26 @@ TEST(Sim, CurrentIsNullOutside) { EXPECT_EQ(Sim::current(), nullptr); }
 TEST(Sim, CurrentIsSetInside) {
   Sim sim;
   sim.run([&] { EXPECT_EQ(Sim::current(), &sim); });
+  EXPECT_EQ(Sim::current(), nullptr);
+}
+
+TEST(Sim, CurrentCoversMainStartAndFinish) {
+  // Layers above the runtime reach the recorder and span tracker only
+  // through Sim::current(), so tool events raised outside the scheduled
+  // run (main's start, on_finish) must see the Sim too.
+  struct Probe : Tool {
+    void on_thread_start(ThreadId tid, ThreadId, support::SiteId) override {
+      if (tid == kMainThread) main_start = Sim::current();
+    }
+    void on_finish() override { finish = Sim::current(); }
+    Sim* main_start = nullptr;
+    Sim* finish = nullptr;
+  } probe;
+  Sim sim;
+  sim.attach(probe);
+  sim.run([] {});
+  EXPECT_EQ(probe.main_start, &sim);
+  EXPECT_EQ(probe.finish, &sim);
   EXPECT_EQ(Sim::current(), nullptr);
 }
 
@@ -152,13 +173,12 @@ TEST(SchedDeterminismCross, DifferentSeedsUsuallyDiffer) {
   EXPECT_GE(distinct, 3);
 }
 
-TEST(SchedStrategyTest, RoundRobinAlternates) {
+TEST(SwitchProbability, CertainSwitchAlternates) {
   SimConfig cfg;
-  cfg.sched.strategy = SchedStrategy::RoundRobin;
-  cfg.sched.switch_period = 1;
+  cfg.sched.switch_probability = 1.0;
   Sim sim(cfg);
   std::vector<int> trace;
-  sim.run([&] {
+  const SimResult r = sim.run([&] {
     tracked<int> cell;
     thread a([&] {
       for (int i = 0; i < 10; ++i) {
@@ -175,19 +195,19 @@ TEST(SchedStrategyTest, RoundRobinAlternates) {
     a.join();
     b.join();
   });
-  // With period-1 round robin the two workers strictly alternate once both
-  // are running.
+  EXPECT_TRUE(r.completed());
+  // Every step switches, and main is blocked in join: the two workers
+  // strictly alternate once both are running.
   int alternations = 0;
   for (std::size_t i = 1; i < trace.size(); ++i)
     if (trace[i] != trace[i - 1]) ++alternations;
   EXPECT_GE(alternations, 8);
 }
 
-TEST(SchedStrategyTest, ZeroSwitchProbabilityRunsToBlocking) {
+TEST(SwitchProbability, ZeroRunsToBlocking) {
   // With probability 0 the scheduler never preempts voluntarily; threads
   // still hand over when they block or finish, so the run completes.
   SimConfig cfg;
-  cfg.sched.strategy = SchedStrategy::Random;
   cfg.sched.switch_probability = 0.0;
   Sim sim(cfg);
   std::vector<int> trace;
@@ -214,57 +234,6 @@ TEST(SchedStrategyTest, ZeroSwitchProbabilityRunsToBlocking) {
   for (std::size_t i = 1; i < trace.size(); ++i)
     if (trace[i] != trace[i - 1]) ++switches;
   EXPECT_EQ(switches, 1);
-}
-
-TEST(SchedStrategyTest, CertainSwitchProbabilityStillCompletes) {
-  SimConfig cfg;
-  cfg.sched.strategy = SchedStrategy::Random;
-  cfg.sched.switch_probability = 1.0;
-  Sim sim(cfg);
-  const SimResult r = sim.run([&] {
-    tracked<int> cell;
-    thread a([&] {
-      for (int i = 0; i < 20; ++i) cell.store(1);
-    });
-    thread b([&] {
-      for (int i = 0; i < 20; ++i) cell.store(2);
-    });
-    a.join();
-    b.join();
-  });
-  EXPECT_TRUE(r.completed());
-}
-
-TEST(SchedStrategyTest, RoundRobinLongPeriodBatchesWork) {
-  SimConfig cfg;
-  cfg.sched.strategy = SchedStrategy::RoundRobin;
-  cfg.sched.switch_period = 10;
-  Sim sim(cfg);
-  std::vector<int> trace;
-  sim.run([&] {
-    tracked<int> cell;
-    thread a([&] {
-      for (int i = 0; i < 20; ++i) {
-        cell.store(1);
-        trace.push_back(1);
-      }
-    });
-    thread b([&] {
-      for (int i = 0; i < 20; ++i) {
-        cell.store(2);
-        trace.push_back(2);
-      }
-    });
-    a.join();
-    b.join();
-  });
-  // Runs of >= 5 consecutive ops per thread exist (period amortisation).
-  int longest = 1, current = 1;
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    current = trace[i] == trace[i - 1] ? current + 1 : 1;
-    longest = std::max(longest, current);
-  }
-  EXPECT_GE(longest, 5);
 }
 
 // --- virtual time --------------------------------------------------------------
@@ -318,8 +287,7 @@ TEST(VirtualTime, AllAsleepJumpsForward) {
 
 TEST(FiberSwitch, RoundingModeStaysWithItsFiber) {
   SimConfig cfg;
-  cfg.sched.strategy = SchedStrategy::RoundRobin;
-  cfg.sched.switch_period = 1;
+  cfg.sched.switch_probability = 1.0;
   Sim sim(cfg);
   // Volatile operands keep the divisions at run time, after each switch.
   volatile double one = 1.0, three = 3.0;
@@ -553,7 +521,6 @@ std::uint64_t schedule_hash(const obs::FlightRecorder& recorder) {
 }
 
 struct WavePin {
-  SchedStrategy strategy;
   std::uint64_t seed;
   std::uint64_t steps;
   std::uint64_t virtual_time;
@@ -566,7 +533,6 @@ struct WavePin {
 /// runnable set at every step and asserts it matches the kept count.
 void run_thread_waves(const WavePin& pin, bool fast_path) {
   SimConfig cfg;
-  cfg.sched.strategy = pin.strategy;
   cfg.sched.seed = pin.seed;
   cfg.sched.fast_path = fast_path;
   Sim sim(cfg);
@@ -604,16 +570,14 @@ void run_thread_waves(const WavePin& pin, bool fast_path) {
 
 TEST(FinishedThreads, WavesScheduleAsPinned) {
   const WavePin pins[] = {
-      {SchedStrategy::Random, 1, 1281, 2009, 9055899659380958511ull},
-      {SchedStrategy::Random, 2, 1281, 1971, 12177222543346156207ull},
-      {SchedStrategy::Random, 3, 1281, 1936, 10350178734138674053ull},
-      {SchedStrategy::RoundRobin, 1, 1281, 2022, 5660428365550202900ull},
+      {1, 1281, 2009, 9055899659380958511ull},
+      {2, 1281, 1971, 12177222543346156207ull},
+      {3, 1281, 1936, 10350178734138674053ull},
   };
   for (const WavePin& pin : pins) {
     for (const bool fast_path : {true, false}) {
       SCOPED_TRACE(testing::Message()
-                   << "strategy " << static_cast<int>(pin.strategy) << " seed "
-                   << pin.seed << " fast_path " << fast_path);
+                   << "seed " << pin.seed << " fast_path " << fast_path);
       run_thread_waves(pin, fast_path);
     }
   }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 CI: regular build (-Werror) + full test suite, then an ASan+UBSan
-# build.
+# build (-Werror too).
 #
 # Usage: tools/ci.sh [--fast] [--bench] [--soak] [--trace] [--deadlock]
 #                    [--obs] [--perfbench]
@@ -152,7 +152,7 @@ PY
 fi
 
 echo "== sanitize: ASan + UBSan build + ctest =="
-cmake --preset sanitize
+cmake --preset sanitize -DRG_WERROR=ON
 cmake --build --preset sanitize -j
 if [[ "$FAST" == 1 ]]; then
   ctest --preset sanitize-fast -j
