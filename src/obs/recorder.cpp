@@ -1,10 +1,7 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 #include <iterator>
-#include <mutex>
 
 #include "obs/span.hpp"
 #include "support/intern.hpp"
@@ -17,56 +14,6 @@ std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-/// Rings of destroyed recorders, kept for the next recorder of the same
-/// capacity. A fresh ring (3.6 MiB at the default capacity) is faulted in
-/// and zeroed by the kernel page by page, which evicts the caches the
-/// recorded run starts with; a spare ring is already mapped. Its stale
-/// slots are harmless, since no query reads a slot that record() has not
-/// written. Four spares cover the most recorders a program here keeps
-/// alive at once (bench_observability's round).
-class RingPool {
- public:
-  std::unique_ptr<Event[]> take(std::size_t capacity) {
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      for (auto it = spare_.begin(); it != spare_.end(); ++it) {
-        if (it->capacity != capacity) continue;
-        std::unique_ptr<Event[]> ring = std::move(it->ring);
-        spare_.erase(it);
-        return ring;
-      }
-    }
-    auto ring = std::make_unique_for_overwrite<Event[]>(capacity);
-    // One store per page maps the ring now, so record() takes no fault.
-    char* const bytes = reinterpret_cast<char*>(ring.get());
-    for (std::size_t i = 0; i < capacity * sizeof(Event); i += 4096)
-      bytes[i] = 0;
-    return ring;
-  }
-
-  void give(std::size_t capacity, std::unique_ptr<Event[]> ring) {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (spare_.size() < kSpareRings)
-      spare_.push_back(Spare{capacity, std::move(ring)});
-  }
-
- private:
-  static constexpr std::size_t kSpareRings = 4;
-  struct Spare {
-    std::size_t capacity;
-    std::unique_ptr<Event[]> ring;
-  };
-  std::mutex mu_;
-  std::vector<Spare> spare_;
-};
-
-/// Never destroyed: a recorder with static storage may outlive any
-/// function-local static.
-RingPool& ring_pool() {
-  static RingPool* const pool = new RingPool;
-  return *pool;
 }
 
 }  // namespace
@@ -109,9 +56,7 @@ const char* to_string(EventKind kind) {
 // --- AddrMap -----------------------------------------------------------------
 
 FlightRecorder::AddrMap::AddrMap() {
-  // Small: allocation identities at offset 0 bypass it (block_ids), so a
-  // T5 run puts a few hundred keys here.
-  slots.resize(1u << 9);
+  slots.resize(1u << 12);
   mask = slots.size() - 1;
 }
 
@@ -132,11 +77,7 @@ void FlightRecorder::AddrMap::grow() {
 FlightRecorder::FlightRecorder(const RecorderConfig& config)
     : capacity_(round_up_pow2(std::max<std::size_t>(config.capacity, 8))),
       mask_(capacity_ - 1),
-      ring_(ring_pool().take(capacity_)) {}
-
-FlightRecorder::~FlightRecorder() {
-  ring_pool().give(capacity_, std::move(ring_));
-}
+      ring_(capacity_) {}
 
 void FlightRecorder::note_thread_name(rt::ThreadId tid, std::string name) {
   thread_names_[tid] = std::move(name);
@@ -318,9 +259,9 @@ std::string FlightRecorder::describe(const Event& e) const {
   return out;
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, std::string_view text) {
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 8);
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -339,29 +280,6 @@ void append_json_escaped(std::string& out, std::string_view text) {
         }
     }
   }
-}
-
-/// Appends the decimal digits of `v` (what std::to_string prints for any
-/// unsigned value) without a temporary string.
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[20];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-/// Appends `,"key":v`.
-void append_field(std::string& out, std::string_view key, std::uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  append_uint(out, v);
-}
-
-}  // namespace
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  append_json_escaped(out, text);
   return out;
 }
 
@@ -370,51 +288,43 @@ std::string FlightRecorder::chrome_trace_json() const {
   // the threads, every recorded event becomes a thread-scoped instant.
   // Timestamps are virtual ticks presented as microseconds. Addresses
   // appear only as their normalised ids, so two same-seed runs serialise
-  // byte-identically. Everything is appended in place (`args` keeps its
-  // capacity across events): concatenating a dozen temporary strings per
-  // event slowed whichever run came after an export by several percent.
-  const std::uint64_t end = cursor();
-  const std::uint64_t begin = ring_floor();
-  std::string out;
-  out.reserve(256 + 256 * (end - begin));  // an instant is ~200 bytes
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  // byte-identically.
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  auto open = [&](std::string_view head) {
-    out += first ? "\n" : ",\n";
+  auto emit = [&](const std::string& obj) {
+    if (!first) out += ",";
     first = false;
-    out += head;
+    out += "\n" + obj;
   };
 
   // Thread-name metadata, in thread-id order for determinism.
   std::vector<std::pair<std::uint32_t, std::string>> names(
       thread_names_.begin(), thread_names_.end());
   std::sort(names.begin(), names.end());
-  for (const auto& [tid, name] : names) {
-    open("{\"ph\":\"M\",\"pid\":0,\"tid\":");
-    append_uint(out, tid);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    append_json_escaped(out, name);
-    out += "\"}}";
-  }
+  for (const auto& [tid, name] : names)
+    emit("{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(tid) +
+         ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
+         json_escape(name) + "\"}}");
 
-  // Escaped "function (file:line)" per site, formatted once per export.
-  std::unordered_map<support::SiteId, std::string> sites;
-  std::string args;  // reused: keeps its capacity across events
-  for (std::uint64_t seq = begin; seq < end; ++seq) {
-    const Event& e = ring_[seq & mask_];
-    args.clear();
-    append_field(args, "seq", e.seq);
+  for (const Event& e : snapshot()) {
+    std::string args = "\"seq\":" + std::to_string(e.seq);
+    auto add_lock = [&](std::uint64_t lock) {
+      args += ",\"lock\":" + std::to_string(lock);
+      if (const std::string* n = lock_name(lock))
+        args += ",\"lock_name\":\"" + json_escape(*n) + "\"";
+    };
+    std::string name = to_string(e.kind);
     const char* cat = "misc";
     switch (e.kind) {
       case EventKind::SchedSwitch:
         cat = "sched";
-        append_field(args, "from", e.a);
+        args += ",\"from\":" + std::to_string(e.a);
         break;
       case EventKind::ThreadStart:
       case EventKind::ThreadExit:
       case EventKind::ThreadJoin:
         cat = "sched";
-        append_field(args, "other", e.a);
+        args += ",\"other\":" + std::to_string(e.a);
         break;
       case EventKind::LockCreate:
       case EventKind::LockDestroy:
@@ -422,13 +332,8 @@ std::string FlightRecorder::chrome_trace_json() const {
       case EventKind::PostLock:
       case EventKind::Unlock:
         cat = "lock";
-        append_field(args, "lock", e.a);
-        if (const std::string* n = lock_name(e.a)) {
-          args += ",\"lock_name\":\"";
-          append_json_escaped(args, *n);
-          args += "\"";
-        }
-        append_field(args, "mode", e.flags);
+        add_lock(e.a);
+        args += ",\"mode\":" + std::to_string(e.flags);
         break;
       case EventKind::CondSignal:
       case EventKind::CondWait:
@@ -437,78 +342,67 @@ std::string FlightRecorder::chrome_trace_json() const {
       case EventKind::QueuePut:
       case EventKind::QueueGet:
         cat = "sync";
-        append_field(args, "sync", e.a);
-        append_field(args, "token", e.b);
+        args += ",\"sync\":" + std::to_string(e.a) +
+                ",\"token\":" + std::to_string(e.b);
         break;
       case EventKind::Access:
       case EventKind::Alloc:
       case EventKind::Free:
       case EventKind::Destruct:
         cat = "mem";
-        append_field(args, "obj", e.norm);
-        append_field(args, "size", e.b);
-        append_field(args, "flags", e.flags);
+        args += ",\"obj\":" + std::to_string(e.norm) +
+                ",\"size\":" + std::to_string(e.b) +
+                ",\"flags\":" + std::to_string(e.flags);
         break;
       case EventKind::ChaosInject:
         cat = "chaos";
-        append_field(args, "target", e.a);
-        append_field(args, "detail", e.b);
-        append_field(args, "fault", e.flags);
+        args += ",\"target\":" + std::to_string(e.a) +
+                ",\"detail\":" + std::to_string(e.b) +
+                ",\"fault\":" + std::to_string(e.flags);
         break;
       case EventKind::BreakerTransition:
         cat = "sip";
-        append_field(args, "target", e.a);
-        append_field(args, "from", e.b >> 60);
-        append_field(args, "to", e.b >> 56 & 0xF);
-        append_field(args, "cooldown", e.b & 0x00FF'FFFF'FFFF'FFFFull);
+        args += ",\"target\":" + std::to_string(e.a) +
+                ",\"from\":" + std::to_string(e.b >> 60) +
+                ",\"to\":" + std::to_string(e.b >> 56 & 0xF) +
+                ",\"cooldown\":" +
+                std::to_string(e.b & 0x00FF'FFFF'FFFF'FFFFull);
         break;
       case EventKind::TxnState:
         cat = "sip";
-        append_field(args, "txn", e.a);
-        append_field(args, "state", e.b);
+        args += ",\"txn\":" + std::to_string(e.a) +
+                ",\"state\":" + std::to_string(e.b);
         break;
       case EventKind::DetectorShare:
       case EventKind::DetectorWarning:
         cat = "detector";
-        append_field(args, "obj", e.norm);
-        append_field(args, "detail", e.b);
+        args += ",\"obj\":" + std::to_string(e.norm) +
+                ",\"detail\":" + std::to_string(e.b);
         break;
       case EventKind::SpanBegin:
         cat = "span";
-        append_field(args, "span_id", e.a);
-        append_field(args, "trace", e.b >> 32);
-        append_field(args, "parent", e.b & 0xFFFF'FFFFull);
+        args += ",\"span_id\":" + std::to_string(e.a) +
+                ",\"trace\":" + std::to_string(e.b >> 32) +
+                ",\"parent\":" + std::to_string(e.b & 0xFFFF'FFFFull);
         break;
       case EventKind::SpanEnd:
         cat = "span";
-        append_field(args, "span_id", e.a);
-        append_field(args, "dur", e.b);
+        args += ",\"span_id\":" + std::to_string(e.a) +
+                ",\"dur\":" + std::to_string(e.b);
         break;
       default:
-        append_field(args, "a", e.a);
-        append_field(args, "b", e.b);
+        args += ",\"a\":" + std::to_string(e.a) +
+                ",\"b\":" + std::to_string(e.b);
         break;
     }
-    if (e.span != 0) append_field(args, "span", e.span);
-    if (e.site != support::kUnknownSite) {
-      auto [it, added] = sites.try_emplace(e.site);
-      if (added)
-        append_json_escaped(it->second,
-                            support::global_sites().describe(e.site));
-      args += ",\"site\":\"";
-      args += it->second;
-      args += "\"";
-    }
-    open("{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":");
-    append_uint(out, e.tid);
-    append_field(out, "ts", e.vtime);
-    out += ",\"name\":\"";
-    append_json_escaped(out, to_string(e.kind));
-    out += "\",\"cat\":\"";
-    out += cat;
-    out += "\",\"args\":{";
-    out.append(args, 1);  // drop append_field's leading comma
-    out += "}}";
+    if (e.span != 0) args += ",\"span\":" + std::to_string(e.span);
+    if (e.site != support::kUnknownSite)
+      args += ",\"site\":\"" +
+              json_escape(support::global_sites().describe(e.site)) + "\"";
+    emit("{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" +
+         std::to_string(e.tid) + ",\"ts\":" + std::to_string(e.vtime) +
+         ",\"name\":\"" + json_escape(name) + "\",\"cat\":\"" + cat +
+         "\",\"args\":{" + args + "}}");
   }
 
   // With a SpanTracker attached, closed spans become nested "X" duration
@@ -521,34 +415,28 @@ std::string FlightRecorder::chrome_trace_json() const {
     for (std::size_t id = 1; id < all.size(); ++id) {
       const SpanInfo& s = all[id];
       if (!s.closed) continue;
-      open("{\"ph\":\"X\",\"pid\":0,\"tid\":");
-      append_uint(out, s.tid);
-      append_field(out, "ts", s.start);
-      append_field(out, "dur", s.end - s.start);
-      out += ",\"name\":\"";
-      append_json_escaped(out, support::symbol_text(s.name));
-      out += "\",\"cat\":\"span\",\"args\":{\"span\":";
-      append_uint(out, s.id);
-      append_field(out, "trace", s.trace);
-      append_field(out, "parent", s.parent);
-      if (s.detail != 0) append_field(out, "detail", s.detail);
-      if (s.cls != TxnClass::Other) {
-        out += ",\"class\":\"";
-        out += to_string(s.cls);
-        out += "\"";
-      }
-      out += "}}";
+      std::string args = "\"span\":" + std::to_string(s.id) +
+                         ",\"trace\":" + std::to_string(s.trace) +
+                         ",\"parent\":" + std::to_string(s.parent);
+      if (s.detail != 0) args += ",\"detail\":" + std::to_string(s.detail);
+      if (s.cls != TxnClass::Other)
+        args += std::string(",\"class\":\"") + to_string(s.cls) + "\"";
+      emit("{\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(s.tid) +
+           ",\"ts\":" + std::to_string(s.start) +
+           ",\"dur\":" + std::to_string(s.end - s.start) + ",\"name\":\"" +
+           json_escape(support::symbol_text(s.name)) +
+           "\",\"cat\":\"span\",\"args\":{" + args + "}}");
       if (s.parent != 0 && s.parent_tid != s.tid &&
           s.parent_tid != rt::kNoThread) {
-        for (const bool start : {true, false}) {
-          open(start ? "{\"ph\":\"s\"," : "{\"ph\":\"f\",\"bp\":\"e\",");
-          out += "\"name\":\"handoff\",\"cat\":\"span\",\"id\":";
-          append_uint(out, s.id);
-          out += ",\"pid\":0";
-          append_field(out, "tid", start ? s.parent_tid : s.tid);
-          append_field(out, "ts", s.start);
-          out += "}";
-        }
+        const std::string flow = "\"name\":\"handoff\",\"cat\":\"span\","
+                                 "\"id\":" +
+                                 std::to_string(s.id) + ",\"pid\":0";
+        emit("{\"ph\":\"s\"," + flow +
+             ",\"tid\":" + std::to_string(s.parent_tid) +
+             ",\"ts\":" + std::to_string(s.start) + "}");
+        emit("{\"ph\":\"f\",\"bp\":\"e\"," + flow +
+             ",\"tid\":" + std::to_string(s.tid) +
+             ",\"ts\":" + std::to_string(s.start) + "}");
       }
     }
   }

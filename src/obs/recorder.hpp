@@ -29,11 +29,9 @@
 // The exporter emits Chrome trace-event JSON (Perfetto-loadable).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,14 +96,6 @@ const char* to_string(EventKind kind);
 constexpr std::uint8_t kAccessWrite = 0x1;
 constexpr std::uint8_t kAccessBusLocked = 0x2;
 
-/// The replay-stable identity of byte `offset` of the `seq`-th tracked
-/// allocation, as passed to FlightRecorder::record's `ident` (bit 63 keeps
-/// it apart from any user-space address).
-constexpr std::uint64_t alloc_identity(std::uint64_t seq,
-                                       std::uint64_t offset) {
-  return (1ull << 63) | (seq << 32) | offset;
-}
-
 /// Packs a breaker transition into Event::b (states are 4-bit enums, the
 /// cooldown dominates the low bits).
 constexpr std::uint64_t pack_breaker(std::uint8_t from, std::uint8_t to,
@@ -119,20 +109,18 @@ constexpr std::uint64_t pack_breaker(std::uint8_t from, std::uint8_t to,
 /// id of `a` for address-bearing kinds (kNoNorm otherwise) — the value the
 /// hash and the exporter use instead of the raw, ASLR-dependent address.
 /// `span` is the active causal span of `tid` at record time (kNoSpan = 0
-/// when no SpanTracker is attached or no span is open). Trivially
-/// default-constructible on purpose: the ring is left uninitialised, since
-/// no slot is read before record() has written it.
+/// when no SpanTracker is attached or no span is open).
 struct Event {
-  std::uint64_t seq;
-  std::uint64_t vtime;
-  std::uint64_t a;
-  std::uint64_t b;
-  support::SiteId site;
-  std::uint32_t norm;
-  rt::ThreadId tid;
-  std::uint32_t span;
-  EventKind kind;
-  std::uint8_t flags;
+  std::uint64_t seq = 0;
+  std::uint64_t vtime = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  support::SiteId site = support::kUnknownSite;
+  std::uint32_t norm = 0;
+  rt::ThreadId tid = rt::kNoThread;
+  std::uint32_t span = 0;
+  EventKind kind = EventKind::Custom;
+  std::uint8_t flags = 0;
 };
 
 constexpr std::uint32_t kNoNorm = 0xFFFF'FFFFu;
@@ -147,8 +135,6 @@ struct RecorderConfig {
 class FlightRecorder {
  public:
   explicit FlightRecorder(const RecorderConfig& config = {});
-  /// Hands the ring back for the next recorder (see recorder.cpp).
-  ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -257,7 +243,7 @@ class FlightRecorder {
   std::string chrome_trace_json() const;
 
  private:
-  /// First-appearance map: raw address or identity -> dense id. Covers
+  /// Open-addressed first-appearance map: raw address -> dense id. Covers
   /// the full stream (it is consulted at record time, before wraparound can
   /// lose events), so the hash never sees a raw pointer.
   struct AddrMap {
@@ -265,13 +251,6 @@ class FlightRecorder {
       std::uint64_t key = 0;
       std::uint32_t id = 0;
     };
-    /// Ids of allocation identities at offset 0 (every Alloc and Free),
-    /// indexed by allocation seq; 0 = not seen yet. The stream walks this
-    /// array nearly in order, where a hash probe missed the cache on most
-    /// lookups. Seqs from kDenseSeqs on take the hash like any other key.
-    std::vector<std::uint32_t> block_ids;
-    static constexpr std::size_t kDenseSeqs = 1u << 22;
-    /// Open-addressed table for every other key.
     std::vector<Slot> slots;
     std::size_t mask = 0;
     std::size_t size = 0;
@@ -291,15 +270,6 @@ class FlightRecorder {
 
     std::uint32_t id_of(std::uint64_t addr) {
       if (addr == 0) return 0;
-      constexpr std::uint64_t kSeqBits = 0x7FFF'FFFFull << 32;
-      const std::size_t seq = (addr & kSeqBits) >> 32;
-      if ((addr & ~kSeqBits) == alloc_identity(0, 0) && seq < kDenseSeqs) {
-        if (seq >= block_ids.size())
-          block_ids.resize(std::max(seq + 1, 2 * block_ids.size()));
-        std::uint32_t& id = block_ids[seq];
-        if (id == 0) id = next_id++;
-        return id;
-      }
       std::size_t i = slot_hash(addr) & mask;
       while (true) {
         Slot& s = slots[i];
@@ -328,9 +298,7 @@ class FlightRecorder {
 
   std::size_t capacity_ = 0;  // power of two
   std::size_t mask_ = 0;
-  // Never cleared, and reused from a destroyed recorder when one is spare:
-  // no slot is read before record() writes it (see recorder.cpp).
-  std::unique_ptr<Event[]> ring_;
+  std::vector<Event> ring_;
   // Plain counter, not atomic: record() is single-producer by contract and
   // a lock-prefixed increment is a full fence — it drains the store buffer
   // (busy with shadow-memory writes) on every traced event.
@@ -365,16 +333,6 @@ inline void FlightRecorder::record(EventKind kind, std::uint64_t vtime,
       active_spans_ != nullptr && tid < active_spans_->size()
           ? (*active_spans_)[tid]
           : 0;
-  // Every 8th event asks for the 8 slots 16 ahead (7 cache lines) to be
-  // brought in for writing: the ring is far out of cache by the time a
-  // slot is reused, and a store that misses stalls the detector's own
-  // stores queued behind it.
-  if ((seq & 7) == 0) {
-    const char* const ahead =
-        reinterpret_cast<const char*>(&ring_[(seq + 16) & mask_]);
-    for (std::size_t off = 0; off < 8 * sizeof(Event); off += 64)
-      __builtin_prefetch(ahead + off, 1);
-  }
   ring_[seq & mask_] =
       Event{seq, vtime, a, b, site, norm, tid, span, kind, flags};
   // Stream hash: order-sensitive polynomial accumulate over an address-

@@ -208,9 +208,7 @@ void Runtime::access(const MemoryAccess& a) {
 
 void Runtime::alloc(ThreadId tid, Addr addr, std::uint32_t size,
                     support::SiteId site) {
-  const AllocInfo block{addr, size, site, tid, true, ++alloc_seq_};
-  allocs_.insert(block);
-  remember_identity(block);
+  allocs_.insert(AllocInfo{addr, size, site, tid, true, ++alloc_seq_});
   trace_addr(obs::EventKind::Alloc, tid, addr, size, site);
   dispatch(obs::Hook::Alloc,
            [&](Tool* t) { t->on_alloc(tid, addr, size, site); });
@@ -223,7 +221,6 @@ void Runtime::free(ThreadId tid, Addr addr, support::SiteId site) {
   const std::uint32_t size = block->size;
   // Trace while the allocation is still live so the event carries the
   // allocation-seq identity, matching the block's accesses.
-  remember_identity(*block);
   trace_addr(obs::EventKind::Free, tid, addr, size, site);
   allocs_.kill(*block);
   if (addr == ident_base_) ident_size_ = 0;

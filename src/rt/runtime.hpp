@@ -271,11 +271,13 @@ class Runtime {
   /// stack/global addresses probe straight to an empty slot).
   std::uint64_t trace_identity(Addr addr) const {
     if (addr - ident_base_ < ident_size_)
-      return obs::alloc_identity(ident_seq_, addr - ident_base_);
+      return (1ull << 63) | (ident_seq_ << 32) | (addr - ident_base_);
     const AllocInfo* b = allocs_.lookup(addr);
     if (b == nullptr || !b->live || addr - b->base >= b->size) return 0;
-    remember_identity(*b);
-    return obs::alloc_identity(b->seq, addr - b->base);
+    ident_base_ = b->base;
+    ident_size_ = b->size;
+    ident_seq_ = b->seq;
+    return (1ull << 63) | (b->seq << 32) | (addr - b->base);
   }
 
   /// trace() for address-bearing events: attaches trace_identity(addr) so
@@ -291,15 +293,6 @@ class Runtime {
   }
 
  private:
-
-  /// Loads trace_identity's cache with a live block. alloc and free call
-  /// it with the block they already hold, so their own events skip the
-  /// granule probe.
-  void remember_identity(const AllocInfo& b) const {
-    ident_base_ = b.base;
-    ident_size_ = b.size;
-    ident_seq_ = b.seq;
-  }
 
   ThreadInfo& thread(ThreadId tid) {
     RG_ASSERT_MSG(tid < threads_.size(), "unknown thread id");
