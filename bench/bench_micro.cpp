@@ -1,10 +1,14 @@
 // E10 — microbenchmarks of the detector's hot paths (google-benchmark):
-// shadow-memory lookups, lockset interning/intersection (with the memo
-// cache that makes Eraser practical), segment happens-before queries,
-// scheduler context switches, SIP parsing.
+// shadow-memory lookups (dense and sparse), the per-event site lookup,
+// lockset interning/intersection (with the memo cache that makes Eraser
+// practical), segment happens-before queries, scheduler context switches,
+// SIP parsing.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/helgrind.hpp"
 #include "rt/memory.hpp"
@@ -18,6 +22,7 @@
 #include "sipp/experiment.hpp"
 #include "sipp/scenario.hpp"
 #include "sipp/testcases.hpp"
+#include "support/prng.hpp"
 
 namespace {
 
@@ -30,6 +35,52 @@ void BM_ShadowMapAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShadowMapAccess);
+
+void BM_ShadowMapSparse(benchmark::State& state) {
+  // The proxy's shadow is sparse: a Fig. 6 sweep touches about 5 granules
+  // per 4 KiB of client address space (heap objects scattered between fiber
+  // stacks). 5 random granules in each of 4096 4-KiB regions, visited in a
+  // shuffled order.
+  rg::support::Xoshiro256 rng(7);
+  std::vector<rg::rt::Addr> addrs;
+  for (rg::rt::Addr region = 0; region < 4096; ++region)
+    for (int i = 0; i < 5; ++i)
+      addrs.push_back(0x7f0000000000ull + (region << 12) + rng.below(4096));
+  for (std::size_t i = addrs.size() - 1; i > 0; --i)
+    std::swap(addrs[i], addrs[rng.below(i + 1)]);
+  rg::shadow::ShadowMap<std::uint64_t> map;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(map.at(addrs[i]));
+    if (++i == addrs.size()) i = 0;
+  }
+}
+BENCHMARK(BM_ShadowMapSparse);
+
+void BM_SiteOf(benchmark::State& state) {
+  // The per-event site lookup over 300 distinct sites (a Fig. 6 sweep has
+  // about 272), as std::source_location hands them over. The memo keys on
+  // the text pointers, so the strings live as long as the thread: built
+  // once, however often the benchmark runs this function.
+  static const std::string file = "bench/site_of.cpp";
+  static const std::vector<std::string> functions = [] {
+    std::vector<std::string> names;
+    for (int f = 0; f < 30; ++f)
+      names.push_back("handler_" + std::to_string(f));
+    return names;
+  }();
+  std::size_t f = 0;
+  std::uint32_t line = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rg::rt::site_of(functions[f].c_str(), file.c_str(), line));
+    if (++line > 10) {
+      line = 1;
+      if (++f == functions.size()) f = 0;
+    }
+  }
+}
+BENCHMARK(BM_SiteOf);
 
 void BM_LocksetIntern(benchmark::State& state) {
   rg::shadow::LocksetTable table;

@@ -19,13 +19,14 @@
 // slower than the baseline, if the spans+contention run is more than 5%
 // slower than the recorder-only run, if observability changed any
 // reported warning, or if two same-seed runs are not bit-identical
-// (stream hash and Chrome trace JSON; span summary and contention matrix
-// JSON for the causal variant).
+// (stream hash every round, Chrome trace JSON of the first and last round;
+// span summary and contention matrix JSON for the causal variant).
 // Timing is the process CPU time of each run, interleaved round by round;
 // an overhead is the median over rounds of the variant / reference ratio,
 // so a spell of host noise moves both sides of a ratio, not one best case.
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
   std::vector<double> t_base, t_rec, t_met, t_span, t_full;
   sipp::ExperimentResult r_base, r_rec, r_met, r_span, r_full;
   std::uint64_t first_hash = 0;
-  std::string first_trace;
+  std::unique_ptr<obs::FlightRecorder> first_recorder, last_recorder;
   std::uint64_t first_span_hash = 0;
   std::string first_spans, first_matrix;
   bool deterministic = true;
@@ -93,17 +94,17 @@ int main(int argc, char** argv) {
   for (int i = 0; i < rounds; ++i) {
     t_base.push_back(run_once(scenario, base, r_base));
 
-    obs::FlightRecorder recorder;
+    auto recorder = std::make_unique<obs::FlightRecorder>();
     sipp::ExperimentConfig cfg = base;
-    cfg.recorder = &recorder;
+    cfg.recorder = recorder.get();
     t_rec.push_back(run_once(scenario, cfg, r_rec));
-    if (i == 0) {
-      first_hash = r_rec.recorder_hash;
-      first_trace = recorder.chrome_trace_json();
-    } else if (r_rec.recorder_hash != first_hash ||
-               recorder.chrome_trace_json() != first_trace) {
-      deterministic = false;
-    }
+    if (i == 0) first_hash = r_rec.recorder_hash;
+    if (r_rec.recorder_hash != first_hash) deterministic = false;
+    // The exported traces are compared once, after the timed rounds: a
+    // 2.2 MB export between two timed runs moves glibc's mmap threshold
+    // and was charged to the run after it.
+    if (i == 0) first_recorder = std::move(recorder);
+    if (i == rounds - 1) last_recorder = std::move(recorder);
 
     obs::FlightRecorder recorder2;
     obs::MetricsRegistry metrics;
@@ -143,6 +144,10 @@ int main(int argc, char** argv) {
     cfg.profiler = &profiler;
     t_full.push_back(run_once(scenario, cfg, r_full));
   }
+
+  if (first_recorder->chrome_trace_json() !=
+      last_recorder->chrome_trace_json())
+    deterministic = false;
 
   const double rec_overhead = support::median_ratio(t_rec, t_base) - 1.0;
   const double met_overhead = support::median_ratio(t_met, t_base) - 1.0;

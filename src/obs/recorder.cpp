@@ -56,7 +56,9 @@ const char* to_string(EventKind kind) {
 // --- AddrMap -----------------------------------------------------------------
 
 FlightRecorder::AddrMap::AddrMap() {
-  slots.resize(1u << 12);
+  // Small: block bases bypass the table, so a T5 run puts a few hundred
+  // keys here.
+  slots.resize(1u << 9);
   mask = slots.size() - 1;
 }
 

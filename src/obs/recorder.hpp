@@ -29,6 +29,7 @@
 // The exporter emits Chrome trace-event JSON (Perfetto-loadable).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -124,6 +125,14 @@ struct Event {
 };
 
 constexpr std::uint32_t kNoNorm = 0xFFFF'FFFFu;
+
+/// The replay-stable identity of byte `offset` of the allocation numbered
+/// `seq`, as FlightRecorder::record takes it in `ident`: bit 63 set, the
+/// seq in bits 32..62, the offset in the low 32 bits. Never 0.
+constexpr std::uint64_t alloc_identity(std::uint64_t seq,
+                                       std::uint64_t offset) {
+  return (1ull << 63) | (seq << 32) | offset;
+}
 
 struct RecorderConfig {
   /// Ring capacity in events; rounded up to a power of two. Wraparound
@@ -243,9 +252,13 @@ class FlightRecorder {
   std::string chrome_trace_json() const;
 
  private:
-  /// Open-addressed first-appearance map: raw address -> dense id. Covers
-  /// the full stream (it is consulted at record time, before wraparound can
-  /// lose events), so the hash never sees a raw pointer.
+  /// First-appearance map: normalisation key -> dense id. Covers the full
+  /// stream (it is consulted at record time, before wraparound can lose
+  /// events), so the hash never sees a raw pointer. Block bases
+  /// (alloc_identity(seq, 0), which every Alloc and Free event carries)
+  /// sit in an array indexed by seq, a few KiB that stay in cache; every
+  /// other key goes through an open-addressed table. Which of the two a
+  /// key uses depends on the key alone, so each key keeps one id.
   struct AddrMap {
     struct Slot {
       std::uint64_t key = 0;
@@ -254,7 +267,11 @@ class FlightRecorder {
     std::vector<Slot> slots;
     std::size_t mask = 0;
     std::size_t size = 0;
+    std::vector<std::uint32_t> block_ids;  // by seq; 0 = not seen yet
     std::uint32_t next_id = 1;  // 0 is reserved for the null address
+
+    /// Seqs at or above this go through the table (bounds block_ids).
+    static constexpr std::uint64_t kDenseSeqs = 1u << 24;
 
     AddrMap();
 
@@ -270,6 +287,17 @@ class FlightRecorder {
 
     std::uint32_t id_of(std::uint64_t addr) {
       if (addr == 0) return 0;
+      const std::uint64_t seq = addr >> 32 & 0x7FFF'FFFF;
+      if (addr == alloc_identity(seq, 0) && seq < kDenseSeqs) {
+        if (seq >= block_ids.size()) {
+          const std::size_t grown =
+              std::max<std::size_t>(seq + 1, 2 * block_ids.size());
+          block_ids.resize(std::min<std::size_t>(grown, kDenseSeqs));
+        }
+        std::uint32_t& id = block_ids[seq];
+        if (id == 0) id = next_id++;
+        return id;
+      }
       std::size_t i = slot_hash(addr) & mask;
       while (true) {
         Slot& s = slots[i];
@@ -335,6 +363,9 @@ inline void FlightRecorder::record(EventKind kind, std::uint64_t vtime,
           : 0;
   ring_[seq & mask_] =
       Event{seq, vtime, a, b, site, norm, tid, span, kind, flags};
+  // Fetch a later slot for writing now: the ring is megabytes and a slot
+  // is written once per run, so without this every event's store misses.
+  __builtin_prefetch(&ring_[(seq + 8) & mask_], 1);
   // Stream hash: order-sensitive polynomial accumulate over an address-
   // normalised digest of the event, so it is reproducible across runs
   // despite ASLR/heap-layout differences. The per-field multiplies are

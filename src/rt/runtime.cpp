@@ -208,8 +208,11 @@ void Runtime::access(const MemoryAccess& a) {
 
 void Runtime::alloc(ThreadId tid, Addr addr, std::uint32_t size,
                     support::SiteId site) {
-  allocs_.insert(AllocInfo{addr, size, site, tid, true, ++alloc_seq_});
-  trace_addr(obs::EventKind::Alloc, tid, addr, size, site);
+  const AllocInfo block{addr, size, site, tid, true, ++alloc_seq_};
+  allocs_.insert(block);
+  if (recorder_ != nullptr)
+    recorder_->record_now(obs::EventKind::Alloc, tid, addr, size, site, 0,
+                          base_identity(block));
   dispatch(obs::Hook::Alloc,
            [&](Tool* t) { t->on_alloc(tid, addr, size, site); });
 }
@@ -219,9 +222,11 @@ void Runtime::free(ThreadId tid, Addr addr, support::SiteId site) {
   RG_ASSERT_MSG(block != nullptr && block->live && block->base == addr,
                 "free of unknown allocation");
   const std::uint32_t size = block->size;
-  // Trace while the allocation is still live so the event carries the
-  // allocation-seq identity, matching the block's accesses.
-  trace_addr(obs::EventKind::Free, tid, addr, size, site);
+  // The event carries the block's allocation-seq identity, matching the
+  // block's accesses.
+  if (recorder_ != nullptr)
+    recorder_->record_now(obs::EventKind::Free, tid, addr, size, site, 0,
+                          base_identity(*block));
   allocs_.kill(*block);
   if (addr == ident_base_) ident_size_ = 0;
   dispatch(obs::Hook::Free,

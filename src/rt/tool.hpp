@@ -40,7 +40,8 @@ struct ToolStats {
   /// free resets look pages up without counting.
   std::uint64_t shadow_tlb_hits = 0;
   std::uint64_t shadow_tlb_misses = 0;
-  /// Shadow pages the tool's map has created (gauge; summed across tools).
+  /// Shadow pages the tool's map has created, each covering 256 bytes of
+  /// client address space (gauge; summed across tools).
   std::uint64_t shadow_pages = 0;
 
   struct Field {

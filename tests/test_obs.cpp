@@ -138,6 +138,27 @@ TEST(FlightRecorder, DenseIdsSurviveAddressMapGrowth) {
   for (std::size_t i = 0; i < e.size(); ++i) ASSERT_EQ(e[i].norm, i + 1) << i;
 }
 
+TEST(FlightRecorder, BlockBasesAndOtherKeysShareOneFirstAppearanceOrder) {
+  // Block-base identities take the dense by-seq array, everything else the
+  // hash table; the ids must still count up in first-appearance order
+  // across both, and a repeated key must get its first id back.
+  FlightRecorder rec;
+  const std::uint64_t far_seq = (1ull << 24) + 5;  // past the dense array
+  const std::vector<std::uint64_t> keys = {
+      obs::alloc_identity(3, 0),       obs::alloc_identity(3, 8),
+      0x7f0000001000ull,               obs::alloc_identity(1, 0),
+      obs::alloc_identity(far_seq, 0), obs::alloc_identity(5000, 0),
+      obs::alloc_identity(3, 0),       obs::alloc_identity(far_seq, 0),
+      obs::alloc_identity(3, 8),       0x7f0000001000ull};
+  for (std::uint64_t key : keys)
+    rec.record(EventKind::Access, 0, 0, 0x1000, 8, support::kUnknownSite, 0,
+               key);
+  const std::vector<Event> e = rec.snapshot();
+  ASSERT_EQ(e.size(), keys.size());
+  const std::vector<std::uint32_t> want = {1, 2, 3, 4, 5, 6, 1, 5, 2, 3};
+  for (std::size_t i = 0; i < e.size(); ++i) EXPECT_EQ(e[i].norm, want[i]) << i;
+}
+
 TEST(FlightRecorder, NonAddressKindsCarryNoNorm) {
   FlightRecorder rec;
   rec.record(EventKind::SchedSwitch, 0, 1, 0, 0);

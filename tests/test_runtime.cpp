@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "detector_harness.hpp"
@@ -348,6 +350,34 @@ TEST(AllocRegistry, ZeroSizeBlockOwnsItsBaseGranule) {
   rt.free(t, 0x5000, 0);
 }
 
+TEST(AllocRegistry, AllocAndFreeEventsCarryTheBlockIdentity) {
+  // alloc and free attach the block's identity without a lookup; it must
+  // be the one trace_identity gives an access to the block's base, so all
+  // three events normalise to one id. A zero-size block has no identity:
+  // its events normalise the raw address, like an access there.
+  Runtime rt;
+  obs::FlightRecorder rec;
+  rt.set_recorder(&rec);
+  const ThreadId t = rt.register_thread("main", kNoThread, 0);
+  rt.alloc(t, 0x6000, 32, 1);
+  rt.trace_addr(obs::EventKind::Access, t, 0x6000, 4);
+  rt.free(t, 0x6000, 0);
+  rt.alloc(t, 0x6000, 32, 1);  // same address, new block
+  rt.alloc(t, 0x7000, 0, 2);
+  rt.trace_addr(obs::EventKind::Access, t, 0x7000, 4);
+  rt.free(t, 0x7000, 0);
+  std::vector<obs::Event> mem;
+  for (const obs::Event& e : rec.snapshot())
+    if (e.norm != obs::kNoNorm) mem.push_back(e);
+  ASSERT_EQ(mem.size(), 7u);
+  EXPECT_EQ(mem[0].norm, mem[1].norm);
+  EXPECT_EQ(mem[0].norm, mem[2].norm);
+  EXPECT_NE(mem[3].norm, mem[0].norm);
+  EXPECT_EQ(mem[4].norm, mem[5].norm);
+  EXPECT_EQ(mem[4].norm, mem[6].norm);
+  EXPECT_NE(mem[4].norm, mem[3].norm);
+}
+
 // RG_ASSERT aborts; the threadsafe style re-executes the test binary for
 // each death check instead of forking a possibly multi-threaded process.
 TEST(AllocRegistryDeathTest, FreeOfNeverAllocatedAddressAborts) {
@@ -447,6 +477,60 @@ TEST(EventHarnessTest, ConvenienceWrappers) {
   EXPECT_EQ(tool.accesses, 1);
   EXPECT_EQ(tool.last_access.thread, worker);
   EXPECT_EQ(tool.last_access.kind, AccessKind::Write);
+}
+
+/// 48 functions x 5 files x 10 lines = 2400 distinct (function, file, line)
+/// triples, whose text lives as long as the process, like the literals of
+/// std::source_location. That is more than a thread's memo keeps (512), so
+/// the checks below cover both its hits and its fall-through to the
+/// registry.
+struct SiteTriples {
+  std::vector<std::string> functions, files;
+  static constexpr std::uint32_t kLines = 10;
+};
+
+const SiteTriples& site_triples() {
+  static const SiteTriples triples = [] {
+    SiteTriples t;
+    for (int i = 0; i < 48; ++i)
+      t.functions.push_back("memo_fn_" + std::to_string(i));
+    for (int i = 0; i < 5; ++i)
+      t.files.push_back("memo_file_" + std::to_string(i) + ".cpp");
+    return t;
+  }();
+  return triples;
+}
+
+/// Two passes of site_of over every triple: each returns the registry's id
+/// for its content, and the second pass registers no new site.
+void check_site_memo() {
+  const SiteTriples& t = site_triples();
+  std::size_t after_first_pass = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& fn : t.functions)
+      for (const std::string& file : t.files)
+        for (std::uint32_t line = 1; line <= SiteTriples::kLines; ++line)
+          ASSERT_EQ(site_of(fn.c_str(), file.c_str(), line),
+                    support::site_id(fn, file, line))
+              << "pass " << pass << ": " << fn << " " << file << ":" << line;
+    if (pass == 0) after_first_pass = support::global_sites().size();
+  }
+  EXPECT_EQ(support::global_sites().size(), after_first_pass);
+}
+
+TEST(SiteOf, MemoReturnsRegistryIds) { check_site_memo(); }
+
+TEST(SiteOf, MemoIsPerThread) {
+  std::thread other(check_site_memo);
+  other.join();
+}
+
+TEST(SiteOf, EqualTextAtDistinctPointersSharesAnId) {
+  static const std::string a = "memo_twin", b = "memo_twin";
+  static const std::string file = "memo_twin.cpp";
+  ASSERT_NE(a.c_str(), b.c_str());
+  EXPECT_EQ(site_of(a.c_str(), file.c_str(), 3),
+            site_of(b.c_str(), file.c_str(), 3));
 }
 
 }  // namespace

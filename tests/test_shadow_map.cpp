@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "shadow/shadow_map.hpp"
 #include "support/prng.hpp"
@@ -86,7 +87,7 @@ TEST(ShadowMap, PagesAllocatedLazily) {
 
 TEST(ShadowMap, CrossPageRange) {
   ShadowMap<State> map;
-  // Range straddling a 4 KiB page boundary.
+  // Range straddling a page boundary.
   int touched = 0;
   map.for_range(0xFF8, 16, [&](State& s) {
     ++touched;
@@ -129,10 +130,37 @@ TEST(ShadowMap, ResetRangeAcrossPageBoundary) {
   EXPECT_EQ(map.find(0x6FF8)->value, 0);
 }
 
-/// Seeded model check: mixed at / for_range / reset_range ops against a
-/// granule -> value reference map in which an absent granule reads 0. Only
-/// at / for_range may create pages.
-void check_against_reference(bool tlb) {
+TEST(ShadowMap, ResetRangeSpansManyPages) {
+  ShadowMap<State> map;
+  constexpr rt::Addr kPage = rt::Addr{1} << kPageShift;
+  constexpr rt::Addr kBase = 0x8000;
+  // Pages 0, 2 and 4 of the range exist; 1 and 3 were never touched.
+  for (const rt::Addr p : {0, 2, 4}) {
+    map.at(kBase + p * kPage).value = 1;
+    map.at(kBase + p * kPage + kPage - 8).value = 1;
+  }
+  map.at(kBase + 5 * kPage).value = 1;
+  ASSERT_EQ(map.page_count(), 4u);
+  // [kBase + 8, kBase + 5 pages) leaves the first granule and page 5 alone.
+  map.reset_range(kBase + 8, 5 * kPage - 8);
+  EXPECT_EQ(map.page_count(), 4u);
+  EXPECT_EQ(map.find(kBase)->value, 1);
+  EXPECT_EQ(map.find(kBase + kPage - 8)->value, 0);
+  for (const rt::Addr p : {2, 4}) {
+    EXPECT_EQ(map.find(kBase + p * kPage)->value, 0);
+    EXPECT_EQ(map.find(kBase + p * kPage + kPage - 8)->value, 0);
+  }
+  EXPECT_EQ(map.find(kBase + kPage), nullptr);
+  EXPECT_EQ(map.find(kBase + 3 * kPage), nullptr);
+  EXPECT_EQ(map.find(kBase + 5 * kPage)->value, 1);
+}
+
+/// Seeded model check: mixed at / for_range / reset_range ops, each in a
+/// window of three pages at one of `bases`, against a granule -> value
+/// reference map in which an absent granule reads 0. Only at / for_range
+/// may create pages.
+void check_against_reference(bool tlb, const std::vector<rt::Addr>& bases,
+                             int ops) {
   ShadowMap<State> map;
   map.set_tlb_enabled(tlb);
   std::map<std::uint64_t, int> ref;
@@ -142,10 +170,9 @@ void check_against_reference(bool tlb) {
   };
   support::Xoshiro256 rng(2024);
   // Three pages' worth of addresses so ranges often straddle pages.
-  constexpr rt::Addr kBase = 0x40000;
   constexpr std::uint64_t kSpan = 3 * (1u << kPageShift);
-  for (int op = 1; op <= 10'000; ++op) {
-    const rt::Addr addr = kBase + rng.below(kSpan);
+  for (int op = 1; op <= ops; ++op) {
+    const rt::Addr addr = bases[rng.below(bases.size())] + rng.below(kSpan);
     const auto size = static_cast<std::uint32_t>(rng.below(200));
     const std::uint64_t first = granule_of(addr);
     const std::uint64_t last = granule_of(addr + (size == 0 ? 1 : size) - 1);
@@ -168,20 +195,45 @@ void check_against_reference(bool tlb) {
         break;
     }
   }
-  for (std::uint64_t g = granule_of(kBase); g <= granule_of(kBase + kSpan);
-       ++g) {
-    const State* s = map.find(granule_base(g));
-    const auto it = ref.find(g);
-    const int expected = it == ref.end() ? 0 : it->second;
-    ASSERT_EQ(s == nullptr ? 0 : s->value, expected) << "granule " << g;
+  for (const rt::Addr base : bases) {
+    for (std::uint64_t g = granule_of(base); g <= granule_of(base + kSpan);
+         ++g) {
+      const State* s = map.find(granule_base(g));
+      const auto it = ref.find(g);
+      const int expected = it == ref.end() ? 0 : it->second;
+      ASSERT_EQ(s == nullptr ? 0 : s->value, expected) << "granule " << g;
+    }
   }
   EXPECT_EQ(map.page_count(), touched_pages.size());
 }
 
-TEST(ShadowMap, MatchesReferenceModelWithTlb) { check_against_reference(true); }
+TEST(ShadowMap, MatchesReferenceModelWithTlb) {
+  check_against_reference(true, {0x40000}, 10'000);
+}
 
 TEST(ShadowMap, MatchesReferenceModelWithoutTlb) {
-  check_against_reference(false);
+  check_against_reference(false, {0x40000}, 10'000);
+}
+
+/// Windows scattered so that their page numbers differ only above bit 32,
+/// share their low 20 bits, or sit side by side: about 900 pages, which
+/// takes the page table through several doublings.
+std::vector<rt::Addr> scattered_bases() {
+  std::vector<rt::Addr> bases;
+  for (rt::Addr i = 1; i <= 100; ++i) {
+    bases.push_back(((i << 33) | 0x40) << kPageShift);
+    bases.push_back((i << 20) << kPageShift);
+    bases.push_back(((rt::Addr{1} << 28) + 4 * i) << kPageShift);
+  }
+  return bases;
+}
+
+TEST(ShadowMap, ScatteredPagesMatchReferenceModelWithTlb) {
+  check_against_reference(true, scattered_bases(), 30'000);
+}
+
+TEST(ShadowMap, ScatteredPagesMatchReferenceModelWithoutTlb) {
+  check_against_reference(false, scattered_bases(), 30'000);
 }
 
 }  // namespace
