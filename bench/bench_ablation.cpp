@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <numeric>
 
-#include "core/eraser.hpp"
 #include "core/helgrind.hpp"
 #include "rt/sim.hpp"
 #include "sip/dispatch.hpp"
@@ -24,8 +23,8 @@
 
 namespace {
 
-template <typename Tool>
-void run_suite(Tool& tool, std::uint64_t seed, int testcase) {
+void run_suite(rg::core::HelgrindTool& tool, std::uint64_t seed,
+               int testcase) {
   using namespace rg;
   rt::SimConfig cfg;
   cfg.sched.seed = seed;
@@ -71,17 +70,8 @@ int main(int argc, char** argv) {
   support::Table table("distinct warning locations, cumulative ingredients");
   table.header({"Detector variant", "total locations", "delta"});
 
-  std::vector<std::size_t> eraser_cases(sipp::kTestCaseCount, 0);
-  support::parallel_for_index(
-      eraser_cases.size(), 0, [&](std::size_t i) {
-        core::EraserBasicTool tool;
-        run_suite(tool, seed, static_cast<int>(i) + 1);
-        eraser_cases[i] = tool.reports().distinct_locations();
-      });
-  const std::size_t eraser_total = std::accumulate(
-      eraser_cases.begin(), eraser_cases.end(), std::size_t{0});
-  std::size_t prev = eraser_total;
-  table.row("eraser-basic (no states)", eraser_total, "-");
+  std::size_t prev = total_for(core::HelgrindConfig::eraser_basic(), seed);
+  table.row("eraser-basic (no states)", prev, "-");
 
   auto add_row = [&](const char* name, const core::HelgrindConfig& cfg) {
     const std::size_t total = total_for(cfg, seed);
@@ -95,7 +85,7 @@ int main(int argc, char** argv) {
   };
 
   core::HelgrindConfig states_only = core::HelgrindConfig::original();
-  states_only.thread_segments = false;
+  states_only.refinement = core::Refinement::States;
   add_row("+ Fig. 1 states (no segments)", states_only);
 
   add_row("+ thread segments (= original Helgrind)",

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "core/djit.hpp"
-#include "core/eraser.hpp"
 #include "core/helgrind.hpp"
 #include "core/hybrid.hpp"
 #include "rt/sim.hpp"
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   std::size_t total_eraser = 0, total_orig = 0, total_dr = 0, total_djit = 0;
   bool merge_complete = true;
   for (int n = 1; n <= sipp::kTestCaseCount; ++n) {
-    core::EraserBasicTool eraser;
+    core::HelgrindTool eraser(core::HelgrindConfig::eraser_basic());
     run_tools(n, seed, eraser);
     core::HelgrindTool original(core::HelgrindConfig::original());
     run_tools(n, seed, original);

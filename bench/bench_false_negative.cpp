@@ -7,7 +7,6 @@
 // detection fraction of each detector.
 #include <cstdio>
 
-#include "core/eraser.hpp"
 #include "core/helgrind.hpp"
 #include "rt/memory.hpp"
 #include "rt/sim.hpp"
@@ -17,9 +16,9 @@
 
 namespace {
 
-template <typename Tool>
-bool detects(Tool& tool, std::uint64_t seed) {
+bool detects(const rg::core::HelgrindConfig& config, std::uint64_t seed) {
   using namespace rg;
+  core::HelgrindTool tool(config);
   rt::SimConfig cfg;
   cfg.sched.seed = seed;
   rt::Sim sim(cfg);
@@ -59,10 +58,9 @@ int main(int argc, char** argv) {
   int helgrind_hits = 0;
   int eraser_hits = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
-    core::HelgrindTool helgrind(core::HelgrindConfig::hwlc_dr());
-    if (detects(helgrind, static_cast<std::uint64_t>(seed))) ++helgrind_hits;
-    core::EraserBasicTool eraser;
-    if (detects(eraser, static_cast<std::uint64_t>(seed))) ++eraser_hits;
+    const auto s = static_cast<std::uint64_t>(seed);
+    if (detects(core::HelgrindConfig::hwlc_dr(), s)) ++helgrind_hits;
+    if (detects(core::HelgrindConfig::eraser_basic(), s)) ++eraser_hits;
   }
 
   support::Table table("detection fraction over schedules");

@@ -14,7 +14,7 @@ void HelgrindTool::on_attach(rt::Runtime& rt) {
   Tool::on_attach(rt);
   // The hardware bus lock is a pseudo-lock owned by this tool; it never
   // appears in the runtime's held-lock sets and is injected into effective
-  // locksets according to the configured model.
+  // locksets according to the configured model (never under Basic).
   bus_lock_ = rt.register_lock(
       "<hardware-bus-lock>", config_.bus_lock_model == BusLockModel::RwLock);
 }
@@ -115,8 +115,29 @@ shadow::LocksetId HelgrindTool::effective_locks(rt::ThreadId tid,
 }
 
 void HelgrindTool::on_access(const rt::MemoryAccess& access) {
+  // Branch once per access, not per cell, so the refined levels' path
+  // does not pay for Basic.
+  if (config_.refinement == Refinement::Basic) {
+    basic_access(access);
+    return;
+  }
   shadow_.for_range(access.addr, access.size,
                     [&](Cell& cell) { touch(cell, access); });
+}
+
+void HelgrindTool::basic_access(const rt::MemoryAccess& a) {
+  // locks_held(t): every held lock in any mode, no bus lock, no write rule.
+  shadow::LockVec v;
+  for (const rt::HeldLock& h : rt_->held_locks(a.thread)) v.push_back(h.lock);
+  const shadow::LocksetId held = locksets_.intern(std::move(v));
+  shadow_.for_range(a.addr, a.size, [&](Cell& cell) {
+    if (cell.reported) return;
+    const shadow::LocksetId before = cell.lockset;
+    cell.lockset = locksets_.intersect(before, held);
+    if (cell.lockset != before) trace_refinement(a);
+    if (locksets_.empty(cell.lockset))
+      warn(cell, a, "lockset emptied (no state machine)", before);
+  });
 }
 
 /// Mirrors a detector-state-changing access into the flight recorder: the
@@ -144,7 +165,7 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
     case MemState::Exclusive:
     case MemState::Destroyed: {
       bool still_exclusive = segments_.thread_of(cell.owner) == a.thread;
-      if (!still_exclusive && config_.thread_segments)
+      if (!still_exclusive && config_.refinement == Refinement::Segments)
         // VisualThreads rule (ii): a touch from a segment the owner
         // happens-before just transfers ownership.
         still_exclusive = segments_.happens_before(cell.owner, seg);
@@ -162,7 +183,7 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
       if (is_write) {
         cell.set_state(MemState::SharedModified);
         if (locksets_.empty(cell.lockset))
-          warn(cell, a, prev, shadow::kUniversalLockset);
+          warn(cell, a, state_name(prev), shadow::kUniversalLockset);
       } else {
         cell.set_state(MemState::SharedRead);
       }
@@ -178,7 +199,7 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
         cell.set_state(MemState::SharedModified);
         trace_refinement(a);
         if (locksets_.empty(cell.lockset))
-          warn(cell, a, MemState::SharedRead, before);
+          warn(cell, a, state_name(MemState::SharedRead), before);
         return;
       }
       // Reads in shared-RO never warn (Fig. 1: reports only in
@@ -194,19 +215,20 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
       cell.lockset = locksets_.intersect(cell.lockset, held);
       if (cell.lockset != before) trace_refinement(a);
       if (locksets_.empty(cell.lockset))
-        warn(cell, a, MemState::SharedModified, before);
+        warn(cell, a, state_name(MemState::SharedModified), before);
       return;
     }
   }
 }
 
 void HelgrindTool::warn(Cell& cell, const rt::MemoryAccess& a,
-                        MemState prev_state, shadow::LocksetId prev_lockset) {
+                        const char* prev_state,
+                        shadow::LocksetId prev_lockset) {
   // Recorded first so the report's cursor covers the warning event.
   rt_->trace_addr(obs::EventKind::DetectorWarning, a.thread, a.addr,
                   reports_.distinct_locations(), a.site);
   Report r = make_report(*rt_, Report::Kind::DataRace, a);
-  r.prev_state = state_name(prev_state);
+  r.prev_state = prev_state;
   if (prev_lockset == shadow::kEmptyLockset) {
     r.prev_state += ", no locks";
   } else if (prev_lockset != shadow::kUniversalLockset) {

@@ -1,8 +1,9 @@
 // HelgrindTool — the paper's subject and contribution.
 //
-// Implements the Eraser lockset algorithm with the Fig. 1 memory-state
-// machine and the VisualThreads thread-segment refinement of Fig. 2, plus
-// the two improvements the paper contributes:
+// Implements the Eraser lockset algorithm with the refinements of §2.3.2
+// stacked on it (HelgrindConfig::refinement): the basic listing, then the
+// Fig. 1 memory-state machine, then the VisualThreads thread segments of
+// Fig. 2. On top come the two improvements the paper contributes:
 //
 //  * HWLC  — the hardware bus lock is modelled as a read-write lock
 //            (every read holds it shared; LOCK-prefixed writes hold it in
@@ -44,15 +45,29 @@ enum class BusLockModel : std::uint8_t {
   RwLock,
 };
 
+/// How much of §2.3.2 the lockset algorithm applies. Each level adds one
+/// refinement to the one before.
+enum class Refinement : std::uint8_t {
+  /// The first listing: C(v) := C(v) ∩ locks_held(t) on every access from
+  /// the first, warning on reads and writes. Every held lock counts in any
+  /// mode, rw locks included; the bus lock never does. Order-independent,
+  /// and it warns on initialisation and read-shared data (the §4.3 and E9
+  /// baseline).
+  Basic,
+  /// + the Fig. 1 memory states, with ownership by thread.
+  States,
+  /// + the VisualThreads thread segments (Fig. 2): every configuration the
+  /// paper measures.
+  Segments,
+};
+
 struct HelgrindConfig {
   /// Also gates rw-lock support: rw_mutex locks enter the lockset iff the
   /// model is RwLock (original Helgrind did not intercept pthread_rwlock).
   BusLockModel bus_lock_model = BusLockModel::Mutex;
   /// Honour VALGRIND_HG_DESTRUCT client requests (the DR improvement).
   bool destructor_annotations = false;
-  /// VisualThreads thread segments (on in every configuration the paper
-  /// measures; off gives plain per-thread Eraser-with-states for ablation).
-  bool thread_segments = true;
+  Refinement refinement = Refinement::Segments;
   /// §5 future-work extension: message-queue and semaphore hand-offs create
   /// happens-before edges (thread segments).
   bool hb_message_passing = false;
@@ -76,6 +91,12 @@ struct HelgrindConfig {
   static HelgrindConfig extended() {
     HelgrindConfig c = hwlc_dr();
     c.hb_message_passing = true;
+    return c;
+  }
+  /// The unrefined Eraser algorithm (§2.3.2, first listing).
+  static HelgrindConfig eraser_basic() {
+    HelgrindConfig c;
+    c.refinement = Refinement::Basic;
     return c;
   }
 };
@@ -134,6 +155,8 @@ class HelgrindTool : public rt::Tool {
   ///   bits 28..30  MemState
   ///   bit  31      reported
   ///   bits 32..63  lockset id
+  ///
+  /// Refinement::Basic uses only the lockset and the reported bit.
   struct Cell {
     static constexpr std::uint32_t kOwnerBits = 28;
 
@@ -163,8 +186,10 @@ class HelgrindTool : public rt::Tool {
                                     bool bus_locked);
 
   void touch(Cell& cell, const rt::MemoryAccess& access);
+  /// Refinement::Basic's whole access path: no states, no bus lock.
+  void basic_access(const rt::MemoryAccess& access);
   void trace_refinement(const rt::MemoryAccess& access);
-  void warn(Cell& cell, const rt::MemoryAccess& access, MemState prev_state,
+  void warn(Cell& cell, const rt::MemoryAccess& access, const char* prev_state,
             shadow::LocksetId prev_lockset);
 
   HelgrindConfig config_;

@@ -4,14 +4,12 @@
 
 namespace rg::core {
 
+std::uint64_t object_of(const Report& r) {
+  return r.origin.known ? r.origin.alloc.base : r.access.addr;
+}
+
 HybridReport merge_hybrid(const ReportManager& lockset,
                           const ReportManager& hb) {
-  // Keys use the access site, which generally differs between the two
-  // tools (they fire at different accesses), so confirmation matches on
-  // the accessed object instead: its allocation base when known.
-  auto object_of = [](const Report& r) -> std::uint64_t {
-    return r.origin.known ? r.origin.alloc.base : r.access.addr;
-  };
   std::unordered_set<std::uint64_t> hb_objects;
   for (const Report& r : hb.reports()) hb_objects.insert(object_of(r));
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/report.hpp"
@@ -32,6 +33,12 @@ struct HybridReport {
   std::size_t possible = 0;  // lockset only: order-dependent candidates
   std::size_t hb_only = 0;
 };
+
+/// The accessed object a report is about: its allocation base when known,
+/// else the address. The two passes fire at different accesses (and so at
+/// different sites and granules) of one object, so this is the key they
+/// are compared by.
+std::uint64_t object_of(const Report& r);
 
 /// Joins the reports of a lockset pass and a happens-before pass over one
 /// execution by accessed object.

@@ -1,10 +1,9 @@
-#include "support/json.hpp"
+#include "json.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
-namespace rg::support {
+namespace rg::test {
 
 const JsonValue* JsonValue::get(const std::string& key) const {
   if (type != Type::Object) return nullptr;
@@ -298,19 +297,4 @@ JsonParseResult json_parse(std::string_view text) {
   return Parser(text).run();
 }
 
-JsonParseResult json_parse_file(const std::string& path) {
-  JsonParseResult result;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    result.error = "cannot open " + path;
-    return result;
-  }
-  std::string body;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
-  std::fclose(f);
-  return json_parse(body);
-}
-
-}  // namespace rg::support
+}  // namespace rg::test

@@ -1,6 +1,6 @@
 // Minimal JSON value + recursive-descent parser.
 //
-// Exists so tests and tools can *round-trip* the JSON this repo emits
+// Exists so tests can *round-trip* the JSON this repo emits
 // (Chrome trace-event files, metrics, span/contention exports)
 // instead of grepping for substrings: parse the document back, then
 // assert structure on the value tree. Scope is deliberately small —
@@ -16,7 +16,7 @@
 #include <string_view>
 #include <vector>
 
-namespace rg::support {
+namespace rg::test {
 
 class JsonValue;
 using JsonPtr = std::shared_ptr<JsonValue>;
@@ -65,7 +65,4 @@ struct JsonParseResult {
 /// any other trailing content is an error (catches truncated writes).
 JsonParseResult json_parse(std::string_view text);
 
-/// Reads and parses a JSON file; error mentions the path on I/O failure.
-JsonParseResult json_parse_file(const std::string& path);
-
-}  // namespace rg::support
+}  // namespace rg::test

@@ -1,7 +1,8 @@
-// EraserBasicTool — the unrefined lockset algorithm (§2.3.2 first listing).
+// Refinement::Basic — the unrefined lockset algorithm (§2.3.2 first
+// listing), run by HelgrindTool(HelgrindConfig::eraser_basic()).
 #include <gtest/gtest.h>
 
-#include "core/eraser.hpp"
+#include "core/helgrind.hpp"
 #include "detector_harness.hpp"
 
 namespace rg::core {
@@ -17,7 +18,7 @@ TEST(EraserBasic, WarnsOnUnlockedInitialisation) {
   // No state machine: even single-thread initialisation without a lock
   // empties C(v) — the "too many false positives" behaviour the states
   // were added to fix.
-  EraserBasicTool tool;
+  HelgrindTool tool(HelgrindConfig::eraser_basic());
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -26,7 +27,7 @@ TEST(EraserBasic, WarnsOnUnlockedInitialisation) {
 }
 
 TEST(EraserBasic, SilentUnderConsistentLock) {
-  EraserBasicTool tool;
+  HelgrindTool tool(HelgrindConfig::eraser_basic());
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -45,7 +46,7 @@ TEST(EraserBasic, OrderIndependentDetection) {
   // The §4.3 property the refined algorithm loses: regardless of which
   // access comes first, the unlocked one empties the set.
   for (bool unlocked_first : {true, false}) {
-    EraserBasicTool tool;
+    HelgrindTool tool(HelgrindConfig::eraser_basic());
     EventHarness h;
     h.attach(tool);
     const ThreadId main = h.thread("main");
@@ -67,53 +68,11 @@ TEST(EraserBasic, OrderIndependentDetection) {
   }
 }
 
-TEST(EraserBasic, ReadWarningsCanBeDisabled) {
-  EraserBasicConfig cfg;
-  cfg.warn_on_reads = false;
-  EraserBasicTool tool(cfg);
-  EventHarness h;
-  h.attach(tool);
-  const ThreadId main = h.thread("main");
-  h.read(main, kAddr);  // empty lockset but only a read
-  EXPECT_EQ(tool.reports().distinct_locations(), 0u);
-  h.write(main, kAddr);
-  EXPECT_EQ(tool.reports().distinct_locations(), 1u);
-}
-
-TEST(EraserBasic, RwRuleFromOriginalPaper) {
-  // "An extension for read-write locks that is presented in the original
-  // Eraser algorithm is not implemented in Helgrind" — here it is. The
-  // lock is also registered before the tool attaches, so the tool never
-  // sees its on_lock_create.
-  for (bool lock_first : {false, true}) {
-    SCOPED_TRACE(lock_first ? "lock before attach" : "lock after attach");
-    EraserBasicConfig cfg;
-    cfg.rw_rule = true;
-    EraserBasicTool tool(cfg);
-    EventHarness h;
-    if (!lock_first) h.attach(tool);
-    const auto rw = h.lock("rw", true);
-    if (lock_first) h.attach(tool);
-    const ThreadId main = h.thread("main");
-    const ThreadId t1 = h.thread("t1");
-    // Writers in write mode, readers in read mode: fine.
-    h.acquire(main, rw, LockMode::Exclusive);
-    h.write(main, kAddr);
-    h.release(main, rw);
-    h.acquire(t1, rw, LockMode::Shared);
-    h.read(t1, kAddr);
-    h.release(t1, rw);
-    EXPECT_EQ(tool.reports().distinct_locations(), 0u);
-    // A write under only the read lock violates the discipline.
-    h.acquire(t1, rw, LockMode::Shared);
-    h.write(t1, kAddr);
-    h.release(t1, rw);
-    EXPECT_EQ(tool.reports().distinct_locations(), 1u);
-  }
-}
-
-TEST(EraserBasic, WithoutRwRuleReadLockCountsForWrites) {
-  EraserBasicTool tool;  // rw_rule off
+TEST(EraserBasic, ReadLockCountsForWrites) {
+  // No write rule: a lock held in any mode protects a write. The rw lock
+  // counts although the default bus-lock model hides rw locks from the
+  // refined levels.
+  HelgrindTool tool(HelgrindConfig::eraser_basic());
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -125,7 +84,7 @@ TEST(EraserBasic, WithoutRwRuleReadLockCountsForWrites) {
 }
 
 TEST(EraserBasic, StopsAfterFirstReportPerLocation) {
-  EraserBasicTool tool;
+  HelgrindTool tool(HelgrindConfig::eraser_basic());
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -135,7 +94,7 @@ TEST(EraserBasic, StopsAfterFirstReportPerLocation) {
 }
 
 TEST(EraserBasic, AllocResetsCandidateSet) {
-  EraserBasicTool tool;
+  HelgrindTool tool(HelgrindConfig::eraser_basic());
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -151,7 +110,7 @@ TEST(EraserBasic, AllocResetsCandidateSet) {
 TEST(EraserBasic, SupersetOfHelgrindFindings) {
   // Everything the refined tool reports, the basic one reports too (on
   // the same stream); the converse does not hold.
-  EraserBasicTool basic;
+  HelgrindTool basic(HelgrindConfig::eraser_basic());
   EventHarness h;
   h.attach(basic);
   const ThreadId main = h.thread("main");
@@ -163,6 +122,42 @@ TEST(EraserBasic, SupersetOfHelgrindFindings) {
   // (kAddr+64) the refined one would not.
   h.write(main, kAddr + 64, "init-only");
   EXPECT_GE(basic.reports().distinct_locations(), 2u);
+}
+
+TEST(EraserBasic, IgnoresTheBusLock) {
+  // Neither bus-lock model adds the bus lock to locks_held(t): two threads'
+  // LOCKed writes with no lock held empty C(v) at the first one.
+  for (BusLockModel model : {BusLockModel::Mutex, BusLockModel::RwLock}) {
+    HelgrindConfig cfg = HelgrindConfig::eraser_basic();
+    cfg.bus_lock_model = model;
+    HelgrindTool tool(cfg);
+    EventHarness h;
+    h.attach(tool);
+    const ThreadId main = h.thread("main");
+    const ThreadId t1 = h.thread("t1");
+    h.write_locked(main, kAddr);
+    h.write_locked(t1, kAddr);
+    EXPECT_EQ(tool.reports().distinct_locations(), 1u)
+        << "rw model=" << (model == BusLockModel::RwLock);
+  }
+}
+
+TEST(EraserBasic, ReportNamesNoMemoryState) {
+  // The cell never passed through a Fig. 1 state, so the report names
+  // none; it gives the candidate set the access emptied.
+  HelgrindTool tool(HelgrindConfig::eraser_basic());
+  EventHarness h;
+  h.attach(tool);
+  const ThreadId main = h.thread("main");
+  const ThreadId t1 = h.thread("t1");
+  const auto m = h.lock("m");
+  h.acquire(main, m);
+  h.write(main, kAddr);
+  h.release(main, m);
+  h.write(t1, kAddr);
+  ASSERT_EQ(tool.reports().reports().size(), 1u);
+  EXPECT_EQ(tool.reports().reports()[0].prev_state,
+            "lockset emptied (no state machine), lockset {m}");
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 // execution order, the (possible) data race is found and reported."
 #include <gtest/gtest.h>
 
-#include "core/eraser.hpp"
 #include "core/helgrind.hpp"
 #include "detector_harness.hpp"
 #include "rt/sim.hpp"
@@ -25,8 +24,7 @@ using rt::ThreadId;
 constexpr rt::Addr kAddr = 0x60000;
 
 /// The §4.3 event pattern with an explicit access order.
-template <typename Tool>
-std::size_t run_order(Tool& tool, bool unlocked_first) {
+std::size_t run_order(HelgrindTool& tool, bool unlocked_first) {
   EventHarness h;
   h.attach(tool);
   const ThreadId main = h.thread("main");
@@ -64,8 +62,7 @@ TEST(FalseNegative, BasicEraserIsOrderIndependent) {
   // "One of its greatest strength is the ability to report data races
   // independent of execution order" — the unrefined algorithm keeps it.
   for (bool unlocked_first : {true, false}) {
-    EraserBasicConfig cfg;
-    EraserBasicTool tool(cfg);
+    HelgrindTool tool(HelgrindConfig::eraser_basic());
     EXPECT_GE(run_order(tool, unlocked_first), 1u)
         << "order=" << unlocked_first;
   }

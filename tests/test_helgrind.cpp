@@ -238,7 +238,7 @@ TEST(HelgrindSegments, ParentWriteAfterCreateShares) {
 
 TEST(HelgrindSegments, DisabledSegmentsShareOnSecondThread) {
   HelgrindConfig cfg;
-  cfg.thread_segments = false;
+  cfg.refinement = Refinement::States;
   HelgrindTool tool(cfg);
   EventHarness h;
   h.attach(tool);

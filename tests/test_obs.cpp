@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
@@ -14,7 +15,6 @@
 #include "sipp/experiment.hpp"
 #include "sipp/soak.hpp"
 #include "sipp/testcases.hpp"
-#include "support/json.hpp"
 
 namespace rg {
 namespace {
@@ -199,31 +199,31 @@ TEST(FlightRecorder, ChromeTraceIsWellFormedAndNamed) {
              obs::kAccessWrite);
   // Round-trip: the export must parse back as one JSON document, not just
   // contain the right substrings.
-  const support::JsonParseResult doc =
-      support::json_parse(rec.chrome_trace_json());
+  const test::JsonParseResult doc =
+      test::json_parse(rec.chrome_trace_json());
   ASSERT_TRUE(doc.ok()) << doc.error;
-  const support::JsonValue* events = doc.value->get("traceEvents");
+  const test::JsonValue* events = doc.value->get("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
   bool saw_thread_name = false, saw_lock = false;
   for (const auto& e : events->items) {
     // Every event carries the Chrome-trace required fields.
     ASSERT_TRUE(e->is_object());
-    const support::JsonValue* ph = e->get("ph");
+    const test::JsonValue* ph = e->get("ph");
     ASSERT_NE(ph, nullptr);
     ASSERT_TRUE(ph->is_string());
     EXPECT_TRUE(ph->string == "i" || ph->string == "M") << ph->string;
     EXPECT_NE(e->get("pid"), nullptr);
     EXPECT_NE(e->get("tid"), nullptr);
     if (ph->string == "M") {
-      if (const support::JsonValue* name = e->get("name");
+      if (const test::JsonValue* name = e->get("name");
           name != nullptr && name->string == "thread_name") {
-        const support::JsonValue* args = e->get("args");
+        const test::JsonValue* args = e->get("args");
         ASSERT_NE(args, nullptr);
         EXPECT_EQ(args->get("name")->string, "main");
         saw_thread_name = true;
       }
-    } else if (const support::JsonValue* args = e->get("args");
+    } else if (const test::JsonValue* args = e->get("args");
                args != nullptr && args->get("lock_name") != nullptr) {
       EXPECT_EQ(args->get("lock_name")->string, "tx-table-mutex");
       saw_lock = true;

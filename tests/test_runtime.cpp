@@ -533,5 +533,15 @@ TEST(SiteOf, EqualTextAtDistinctPointersSharesAnId) {
             site_of(b.c_str(), file.c_str(), 3));
 }
 
+TEST(SiteOf, FileIsRelativeToTheCheckout) {
+  // The build maps the source root away, so a site reads the same from
+  // every checkout of one commit.
+  const support::Site site =
+      support::global_sites().get(site_of(std::source_location::current()));
+  EXPECT_EQ(support::symbol_text(site.file), "tests/test_runtime.cpp");
+  const support::Site here = support::global_sites().get(RG_HERE());
+  EXPECT_EQ(support::symbol_text(here.file), "tests/test_runtime.cpp");
+}
+
 }  // namespace
 }  // namespace rg::rt

@@ -10,13 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "json.hpp"
 #include "obs/contention.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
 #include "sipp/experiment.hpp"
 #include "sipp/testcases.hpp"
-#include "support/json.hpp"
 
 namespace rg {
 namespace {
@@ -297,10 +297,10 @@ TEST(Spans, ChromeTraceFlowEventsAreWellFormed) {
   SpanTracker spans(&rec);
   ContentionTable contention;
   run_traced(11, 5, rec, spans, contention);
-  const support::JsonParseResult doc =
-      support::json_parse(rec.chrome_trace_json());
+  const test::JsonParseResult doc =
+      test::json_parse(rec.chrome_trace_json());
   ASSERT_TRUE(doc.ok()) << doc.error;
-  const support::JsonValue* events = doc.value->get("traceEvents");
+  const test::JsonValue* events = doc.value->get("traceEvents");
   ASSERT_NE(events, nullptr);
   std::set<std::int64_t> flow_starts, flow_ends;
   std::size_t duration_spans = 0;
@@ -313,7 +313,7 @@ TEST(Spans, ChromeTraceFlowEventsAreWellFormed) {
       ++duration_spans;
       ASSERT_NE(e->get("dur"), nullptr);
       ASSERT_NE(e->get("args"), nullptr);
-      const support::JsonValue* args = e->get("args");
+      const test::JsonValue* args = e->get("args");
       ASSERT_NE(args->get("span"), nullptr);
       ASSERT_NE(args->get("trace"), nullptr);
       EXPECT_GT(args->get("span")->integer, 0);
@@ -382,7 +382,7 @@ TEST(Spans, SpansJsonRoundTripsAndCountsAgree) {
   SpanTracker spans(&rec);
   ContentionTable contention;
   run_traced(11, 5, rec, spans, contention);
-  const support::JsonParseResult doc = support::json_parse(spans.json());
+  const test::JsonParseResult doc = test::json_parse(spans.json());
   ASSERT_TRUE(doc.ok()) << doc.error;
   EXPECT_EQ(doc.value->get("spans")->integer,
             static_cast<std::int64_t>(spans.span_count()));
@@ -390,8 +390,8 @@ TEST(Spans, SpansJsonRoundTripsAndCountsAgree) {
             static_cast<std::int64_t>(spans.trace_count()));
   ASSERT_NE(doc.value->get("span_list"), nullptr);
   EXPECT_EQ(doc.value->get("span_list")->size(), spans.span_count());
-  const support::JsonParseResult matrix =
-      support::json_parse(contention.json(rec));
+  const test::JsonParseResult matrix =
+      test::json_parse(contention.json(rec));
   ASSERT_TRUE(matrix.ok()) << matrix.error;
   EXPECT_GT(matrix.value->get("total_acquisitions")->integer, 0);
   ASSERT_NE(matrix.value->get("top"), nullptr);

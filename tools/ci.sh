@@ -11,8 +11,9 @@
 #   --soak   additionally run the replayable chaos soak matrix (seeds x
 #            fault mixes, every cell replay-verified) on the default build
 #   --trace  additionally smoke the flight recorder: a seeded E6 run with
-#            rg-debug --trace-out, validated as loadable Chrome trace JSON
-#            and byte-identical across two same-seed runs
+#            rg-debug --trace-out, validated as loadable Chrome trace JSON,
+#            byte-identical across two same-seed runs and free of
+#            absolute source paths under the checkout
 #   --deadlock  additionally run just the deadlock-labelled tests (hazard
 #            prediction + replay confirmation + recovery soak) in isolation
 #   --obs    observability umbrella: obs-labelled tests, the observability
@@ -71,6 +72,11 @@ if [[ "$TRACE" == 1 ]]; then
     --trace-out "$trace_dir/run2.json" > /dev/null
   cmp "$trace_dir/run1.json" "$trace_dir/run2.json" \
     || { echo "same-seed traces differ" >&2; exit 1; }
+  # Sites name files relative to the checkout, so the trace does not
+  # depend on where the tree lives.
+  if grep -qF "$PWD/" "$trace_dir/run1.json"; then
+    echo "trace names absolute source paths under $PWD" >&2; exit 1
+  fi
   python3 - "$trace_dir/run1.json" <<'PY'
 import json, sys
 trace = json.load(open(sys.argv[1]))
