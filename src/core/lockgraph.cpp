@@ -1,12 +1,9 @@
 #include "core/lockgraph.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
-#include "obs/span.hpp"
 #include "rt/runtime.hpp"
-#include "rt/sim.hpp"
 
 namespace rg::core {
 
@@ -16,51 +13,38 @@ LockGraphTool::LockGraphTool() : reports_("Helgrind"), predictions_("Helgrind") 
 
 void LockGraphTool::on_thread_start(rt::ThreadId tid, rt::ThreadId parent,
                                     support::SiteId /*site*/) {
-  ++op_seq_;
-  ThreadState& child = threads_[tid];
   if (parent == rt::kNoThread) return;
-  auto it = threads_.find(parent);
-  if (it == threads_.end()) return;
   // Fork inheritance (depth 1): every lock the parent holds right now is a
   // candidate guard for the child's acquisitions, identified by the
   // parent's hold span so same-span siblings do not fake-serialize.
-  for (const auto& [lock, hold] : it->second.holds) {
-    child.inherited.push_back({lock, hold.open_seq});
-    candidate_spans_.insert(hold.open_seq);
+  const auto& held_by_parent = rt_->held_locks(parent);
+  if (held_by_parent.empty()) return;
+  std::vector<CandidateGuard>& inherited = inherited_[tid];
+  for (const rt::HeldLock& held : held_by_parent) {
+    inherited.push_back({held.lock, held.span});
+    open_spans_.try_emplace({parent, held.lock}, held.span);
   }
 }
 
 void LockGraphTool::on_thread_join(rt::ThreadId /*joiner*/, rt::ThreadId joined,
                                    support::SiteId /*site*/) {
-  joined_at_[joined] = ++op_seq_;
-}
-
-void LockGraphTool::on_post_lock(rt::ThreadId tid, rt::LockId lock,
-                                 rt::LockMode /*mode*/, support::SiteId site) {
-  ++op_seq_;
-  Hold& h = threads_[tid].holds[lock];
-  if (h.depth++ == 0) {
-    h.open_seq = op_seq_;
-    h.site = site;
-  }
+  // Only threads with candidate guards are ever asked about.
+  if (inherited_.contains(joined)) joined_at_[joined] = ++op_seq_;
 }
 
 void LockGraphTool::on_unlock(rt::ThreadId tid, rt::LockId lock,
                               support::SiteId /*site*/) {
-  ++op_seq_;
-  auto tit = threads_.find(tid);
-  if (tit == threads_.end()) return;
-  auto hit = tit->second.holds.find(lock);
-  if (hit == tit->second.holds.end()) return;
-  if (--hit->second.depth == 0) {
-    // Only spans some inherited candidate guard references matter to
-    // adjudication; witnessing every close would grow closed_spans_ by one
-    // entry per unlock in the run.
-    if (!candidate_spans_.empty() &&
-        candidate_spans_.contains(hit->second.open_seq))
-      closed_spans_[hit->second.open_seq] = op_seq_;
-    tit->second.holds.erase(hit);
-  }
+  // Only spans some inherited candidate guard references matter to
+  // adjudication.
+  if (open_spans_.empty()) return;
+  auto it = open_spans_.find({tid, lock});
+  if (it == open_spans_.end()) return;
+  // The runtime has applied the release: a recursive one leaves the lock
+  // listed and the span open.
+  for (const rt::HeldLock& held : rt_->held_locks(tid))
+    if (held.lock == lock) return;
+  closed_spans_[it->second] = ++op_seq_;
+  open_spans_.erase(it);
 }
 
 // --- acquisition ------------------------------------------------------------
@@ -82,14 +66,23 @@ void LockGraphTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
   }
 
   // Tier B: record an acquisition history per held lock and re-examine
-  // cycles the new edges may have closed.
-  ThreadState& ts = threads_[tid];
-  if (ts.holds.empty()) return;
-  obs::FlightRecorder* fr = rt_ != nullptr ? rt_->recorder() : nullptr;
+  // cycles the new edges may have closed. The runtime lists holds in
+  // acquisition order with swap-removal; visit them by lock id so the
+  // histories and cycle examinations do not depend on release order.
+  const auto& held_now = rt_->held_locks(tid);
+  if (held_now.empty()) return;
+  support::small_vector<rt::HeldLock, 4> holds = held_now;
+  std::sort(holds.begin(), holds.end(),
+            [](const rt::HeldLock& a, const rt::HeldLock& b) {
+              return a.lock < b.lock;
+            });
+  obs::FlightRecorder* fr = rt_->recorder();
   if (fr != nullptr)
-    fr->record_now(obs::EventKind::DeadlockAcquire, tid, lock,
-                   ts.holds.size(), site);
-  for (const auto& [first, hold] : ts.holds) {
+    fr->record_now(obs::EventKind::DeadlockAcquire, tid, lock, holds.size(),
+                   site);
+  const auto inherited = inherited_.find(tid);
+  for (const rt::HeldLock& hold : holds) {
+    const rt::LockId first = hold.lock;
     if (first == lock) continue;
     auto& vec = histories_[first][lock];
     // Cap check before building the Instance: in steady state every edge
@@ -101,9 +94,10 @@ void LockGraphTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
     inst.first_site = hold.site;
     inst.second_site = site;
     inst.cursor = fr != nullptr ? fr->cursor() : 0;
-    for (const auto& [g, ghold] : ts.holds)
-      if (g != first && g != lock) inst.guards.push_back({g, ghold.open_seq});
-    inst.candidates = ts.inherited;
+    for (const rt::HeldLock& g : holds)
+      if (g.lock != first && g.lock != lock)
+        inst.guards.push_back({g.lock, g.span});
+    if (inherited != inherited_.end()) inst.candidates = inherited->second;
     vec.push_back(std::move(inst));
     ++counters_.instances;
     examine_cycles(first, lock);
@@ -363,6 +357,8 @@ void LockGraphTool::report_prediction(const CycleCandidate& cycle,
   const std::size_t n = cycle.locks.size();
   PredictedCycle pc;
   pc.edges.reserve(n);
+  std::vector<support::SiteId> edge_sites;
+  edge_sites.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Instance& inst = v.combo[i];
     PredictedCycle::Edge e;
@@ -372,26 +368,23 @@ void LockGraphTool::report_prediction(const CycleCandidate& cycle,
     e.first_site = inst.first_site;
     e.second_site = inst.second_site;
     pc.edges.push_back(e);
+    edge_sites.push_back(e.second_site);
   }
-  obs::FlightRecorder* fr = rt_ != nullptr ? rt_->recorder() : nullptr;
-  pc.recorder_cursor = fr != nullptr ? fr->cursor() : 0;
-  if (fr != nullptr)
-    fr->record_now(obs::EventKind::DeadlockCycle, pc.edges.front().tid,
-                   cycle.locks.front(), n, pc.edges.front().second_site);
-
-  Report r;
-  r.kind = Report::Kind::PredictedDeadlock;
-  r.access.thread = pc.edges.front().tid;
-  r.access.site = pc.edges.front().second_site;
-  for (const PredictedCycle::Edge& e : pc.edges) r.stack.push_back(e.second_site);
+  // The report (and its recorder cursor) is taken before the cycle's own
+  // event lands in the stream. A cycle's frames are its edges' request
+  // sites, not the reporting thread's shadow stack.
+  rt::MemoryAccess at;
+  at.thread = pc.edges.front().tid;
+  at.site = pc.edges.front().second_site;
+  Report r = make_report(*rt_, Report::Kind::PredictedDeadlock, at);
+  r.stack = std::move(edge_sites);
   r.cycle_locks = pc.lock_ids();
   r.cycle_threads = pc.thread_ids();
-  r.recorder_cursor = pc.recorder_cursor;
-  const rt::Sim* sim = rt::Sim::current();
-  if (const obs::SpanTracker* st = sim != nullptr ? sim->spans() : nullptr) {
-    r.trace_id = st->active_trace(r.access.thread);
-    r.span_id = st->active_span(r.access.thread);
-  }
+  pc.recorder_cursor = r.recorder_cursor;
+  if (obs::FlightRecorder* fr = rt_->recorder(); fr != nullptr)
+    fr->record_now(obs::EventKind::DeadlockCycle, at.thread,
+                   cycle.locks.front(), n, at.site);
+
   std::string extra;
   for (const PredictedCycle::Edge& e : pc.edges) {
     if (!extra.empty()) extra += "; ";

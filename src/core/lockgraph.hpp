@@ -36,7 +36,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/report.hpp"
@@ -94,8 +93,6 @@ class LockGraphTool : public rt::Tool {
                       support::SiteId site) override;
   void on_pre_lock(rt::ThreadId tid, rt::LockId lock, rt::LockMode mode,
                    support::SiteId site) override;
-  void on_post_lock(rt::ThreadId tid, rt::LockId lock, rt::LockMode mode,
-                    support::SiteId site) override;
   void on_unlock(rt::ThreadId tid, rt::LockId lock,
                  support::SiteId site) override;
   void on_finish() override;
@@ -126,19 +123,19 @@ class LockGraphTool : public rt::Tool {
 
   // --- tier B (acquisition histories + refinements) ----------------------
   /// A guard occurrence: `lock` held during the acquisition, identified by
-  /// the hold span that covers it. Two occurrences of the same lock from
+  /// the hold span that covers it (rt::HeldLock::span). Two occurrences of the same lock from
   /// *different* spans serialize the critical sections; the same span is
   /// one critical section and does not.
   struct GuardRef {
     rt::LockId lock = rt::kNoLock;
-    std::uint64_t span = 0;  // open_seq of the hold span
+    std::uint64_t span = 0;
   };
 
   /// A guard inherited at fork time, pending confirmation that the
   /// parent's hold span enclosed the child's lifetime.
   struct CandidateGuard {
     rt::LockId lock = rt::kNoLock;
-    std::uint64_t span = 0;  // parent's open_seq
+    std::uint64_t span = 0;  // the parent's hold span
   };
 
   /// One acquisition history for a directed edge first→second.
@@ -149,17 +146,6 @@ class LockGraphTool : public rt::Tool {
     std::vector<GuardRef> guards;             // other locks held (direct)
     std::vector<CandidateGuard> candidates;   // inherited at fork
     std::uint64_t cursor = 0;
-  };
-
-  struct Hold {
-    std::uint32_t depth = 0;
-    std::uint64_t open_seq = 0;
-    support::SiteId site = support::kUnknownSite;
-  };
-
-  struct ThreadState {
-    std::map<rt::LockId, Hold> holds;
-    std::vector<CandidateGuard> inherited;
   };
 
   enum class Mode : std::uint8_t {
@@ -203,13 +189,18 @@ class LockGraphTool : public rt::Tool {
   ReportManager predictions_;
   std::set<std::pair<rt::LockId, rt::LockId>> reported_pairs_;
 
-  // Tier B state.
-  std::unordered_map<rt::ThreadId, ThreadState> threads_;
-  std::unordered_map<std::uint64_t, std::uint64_t> closed_spans_;  // open→close
-  // Spans referenced by some inherited candidate guard — the only spans
-  // whose close we must witness (keeps on_unlock O(1) amortized instead of
-  // growing closed_spans_ by one entry per unlock in the run).
-  std::unordered_set<std::uint64_t> candidate_spans_;
+  // Tier B state. Holds themselves (sites, spans) are read from
+  // Runtime::held_locks; the tool keeps only what fork inheritance needs,
+  // so it grows with the threads forked under a held lock, not with every
+  // thread or every unlock.
+  // Candidate guards of each thread forked while its parent held a lock.
+  std::unordered_map<rt::ThreadId, std::vector<CandidateGuard>> inherited_;
+  // Inherited spans not closed yet, by (holder, lock): on_unlock's lookup
+  // for the span the outermost release closes.
+  std::map<std::pair<rt::ThreadId, rt::LockId>, std::uint64_t> open_spans_;
+  // Inherited spans that closed -> op_seq_ at the close.
+  std::unordered_map<std::uint64_t, std::uint64_t> closed_spans_;
+  // Threads in inherited_ that were joined -> op_seq_ at the join.
   std::unordered_map<rt::ThreadId, std::uint64_t> joined_at_;
   // The one lock-order graph: lock -> locks acquired while it was held,
   // each with its capped acquisition-history list. Tier A inserts the
@@ -219,7 +210,7 @@ class LockGraphTool : public rt::Tool {
   std::map<std::string, CycleCandidate> pending_;
   std::set<std::string> reported_cycles_;
   std::vector<PredictedCycle> predicted_;
-  std::uint64_t op_seq_ = 0;
+  std::uint64_t op_seq_ = 0;  // orders span closes against joins
   Counters counters_;
   // Reusable DFS scratch for reaches(): the naive-tier reachability check
   // runs on every nested acquisition and must not allocate each time.

@@ -22,24 +22,6 @@ std::string family_of(const FlightRecorder& names, std::uint64_t lock) {
 
 }  // namespace
 
-void contention_on_lock_event(ContentionTable& table, EventKind kind,
-                              std::uint64_t vtime, rt::ThreadId tid,
-                              std::uint64_t lock, support::SiteId site) {
-  switch (kind) {
-    case EventKind::PreLock:
-      table.on_pre_lock(lock, tid, vtime);
-      break;
-    case EventKind::PostLock:
-      table.on_post_lock(lock, tid, vtime, site);
-      break;
-    case EventKind::Unlock:
-      table.on_unlock(lock, tid, vtime);
-      break;
-    default:
-      break;
-  }
-}
-
 ContentionTable::LockStats& ContentionTable::lock_slot(std::uint64_t lock) {
   if (lock >= locks_.size()) locks_.resize(lock + 1);
   LockStats& ls = locks_[lock];
@@ -92,8 +74,7 @@ void ContentionTable::on_post_lock(std::uint64_t lock, rt::ThreadId tid,
   const std::size_t behind =
       std::min<std::size_t>(ls.waiting_now, kWaitersBuckets - 1);
   ++ls.waiters_behind[behind];
-  // try_lock successes arrive with no PreLock; recursive/shared re-entry
-  // keeps the outermost hold interval.
+  // Recursive/shared re-entry keeps the outermost hold interval.
   if (ts.hold_depth++ == 0) ts.hold_since = vtime;
 }
 

@@ -28,7 +28,6 @@
 namespace rg::obs {
 
 class FlightRecorder;
-enum class EventKind : std::uint8_t;
 
 class ContentionTable {
  public:
@@ -110,12 +109,5 @@ class ContentionTable {
   std::uint64_t total_wait_ = 0;
   std::uint64_t total_acquisitions_ = 0;
 };
-
-/// Recorder-side trampoline: recorder.hpp only forward-declares the table,
-/// so its inline record() path calls through this free function (defined in
-/// contention.cpp) for the three lock-op kinds.
-void contention_on_lock_event(ContentionTable& table, EventKind kind,
-                              std::uint64_t vtime, rt::ThreadId tid,
-                              std::uint64_t lock, support::SiteId site);
 
 }  // namespace rg::obs

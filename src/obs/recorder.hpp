@@ -37,13 +37,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/contention.hpp"
 #include "rt/ids.hpp"
 #include "support/site.hpp"
 
 namespace rg::obs {
 
 class SpanTracker;
-class ContentionTable;
 
 enum class EventKind : std::uint8_t {
   // Scheduler / thread lifecycle.
@@ -344,12 +344,6 @@ class FlightRecorder {
   std::unordered_map<std::uint64_t, std::string> lock_names_;
 };
 
-/// Declared here (defined in contention.cpp) so the inline record() below
-/// can forward lock events without a full ContentionTable definition.
-void contention_on_lock_event(ContentionTable& table, EventKind kind,
-                              std::uint64_t vtime, rt::ThreadId tid,
-                              std::uint64_t lock, support::SiteId site);
-
 inline void FlightRecorder::record(EventKind kind, std::uint64_t vtime,
                                    rt::ThreadId tid, std::uint64_t a,
                                    std::uint64_t b, support::SiteId site,
@@ -384,10 +378,14 @@ inline void FlightRecorder::record(EventKind kind, std::uint64_t vtime,
   d ^= static_cast<std::uint64_t>(span) * 0xA24BAED4963EE407ull;
   d ^= d >> 32;
   hash_ = hash_ * 0xD1B54A32D192ED03ull + d;
-  if (contention_ != nullptr &&
-      (kind == EventKind::PreLock || kind == EventKind::PostLock ||
-       kind == EventKind::Unlock))
-    contention_on_lock_event(*contention_, kind, vtime, tid, a, site);
+  if (contention_ == nullptr) return;
+  if (kind == EventKind::PreLock) {
+    contention_->on_pre_lock(a, tid, vtime);
+  } else if (kind == EventKind::PostLock) {
+    contention_->on_post_lock(a, tid, vtime, site);
+  } else if (kind == EventKind::Unlock) {
+    contention_->on_unlock(a, tid, vtime);
+  }
 }
 
 /// Escapes a string for embedding in a JSON literal (quotes, backslashes,

@@ -106,7 +106,7 @@ void Runtime::post_lock(ThreadId tid, LockId lock, LockMode mode,
     // Upgrades are not modelled; keep the strongest mode seen.
     if (mode == LockMode::Exclusive) it->mode = LockMode::Exclusive;
   } else {
-    held.push_back(HeldLock{lock, mode, 1});
+    held.push_back(HeldLock{lock, mode, 1, site, ++hold_seq_});
   }
   trace(obs::EventKind::PostLock, tid, lock, 0, site,
         static_cast<std::uint8_t>(mode));

@@ -29,6 +29,13 @@ struct HeldLock {
   LockMode mode = LockMode::Exclusive;
   /// Recursion depth (rw-locks may be read-held multiple times in POSIX).
   std::uint32_t count = 1;
+  /// Where the outermost acquisition of this hold took the lock; a
+  /// recursive re-acquisition keeps it.
+  support::SiteId site = support::kUnknownSite;
+  /// Identity of this hold span (Sulzmann & Thiemann's critical section):
+  /// a Runtime-wide id assigned when the count goes 0 -> 1, never 0. A
+  /// re-acquisition after a full release opens a new span.
+  std::uint64_t span = 0;
 };
 
 /// A heap allocation known to the runtime.
@@ -171,7 +178,9 @@ class Runtime {
   void unlock(ThreadId tid, LockId lock, support::SiteId site);
 
   /// The Eraser locks_held(t): every lock currently held by `tid`, with the
-  /// strongest mode it is held in.
+  /// strongest mode it is held in and its hold span. Entries are in
+  /// acquisition order, except that a release swaps the last entry into
+  /// the freed slot.
   const support::small_vector<HeldLock, 4>& held_locks(ThreadId tid) const;
   std::string_view lock_name(LockId lock) const;
   std::size_t lock_count() const { return locks_.size(); }
@@ -325,6 +334,7 @@ class Runtime {
   mutable std::uint64_t ident_size_ = 0;
   mutable std::uint64_t ident_seq_ = 0;
   std::uint64_t alloc_seq_ = 0;
+  std::uint64_t hold_seq_ = 0;  // last HeldLock::span handed out
   std::uint64_t access_events_ = 0;
   std::uint64_t sync_events_ = 0;
 };

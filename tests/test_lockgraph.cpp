@@ -193,6 +193,41 @@ TEST(LockGraph, ForkInheritedDistinctSpansSerialize) {
   EXPECT_GE(tool.counters().pruned_guarded, 1u);
 }
 
+TEST(LockGraph, RecursiveParentHoldClosesAtOutermostRelease) {
+  LockGraphTool tool;
+  EventHarness h;
+  h.attach(tool);
+  const ThreadId main = h.thread("main");
+  const auto g = h.lock("gate");
+  const auto a = h.lock("a");
+  const auto b = h.lock("b");
+  // The parent re-enters the gate and drops the inner hold before the
+  // join: the outer hold still encloses t1's lifetime, so the span t1
+  // inherited closes only at the outermost release, after the join.
+  h.acquire(main, g);
+  const ThreadId t1 = h.thread("t1", main);
+  h.acquire(main, g);
+  h.release(main, g);
+  h.acquire(t1, a);
+  h.acquire(t1, b);
+  h.release(t1, b);
+  h.release(t1, a);
+  h.join(main, t1);
+  h.release(main, g);
+  h.acquire(main, g);
+  const ThreadId t2 = h.thread("t2", main);
+  h.acquire(t2, b);
+  h.acquire(t2, a);
+  h.release(t2, a);
+  h.release(t2, b);
+  h.join(main, t2);
+  h.release(main, g);
+  h.runtime().finish();
+
+  EXPECT_EQ(tool.predicted().size(), 0u);
+  EXPECT_GE(tool.counters().pruned_guarded, 1u);
+}
+
 TEST(LockGraph, UnconfirmedCandidateResolvedAtFinish) {
   LockGraphTool tool;
   EventHarness h;

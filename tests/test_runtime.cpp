@@ -83,17 +83,32 @@ TEST(Runtime, HeldLockModesAndCounts) {
   Runtime rt;
   const ThreadId t = rt.register_thread("main", kNoThread, 0);
   const LockId rw = rt.register_lock("rw", true);
-  rt.post_lock(t, rw, LockMode::Shared, 0);
+  const auto outer = support::site_id("outer", "held.cpp", 1);
+  const auto inner = support::site_id("inner", "held.cpp", 2);
+  rt.post_lock(t, rw, LockMode::Shared, outer);
   ASSERT_EQ(rt.held_locks(t).size(), 1u);
   EXPECT_EQ(rt.held_locks(t)[0].mode, LockMode::Shared);
-  // Recursive shared acquisition: count goes up, entry stays single.
-  rt.post_lock(t, rw, LockMode::Shared, 0);
+  const std::uint64_t span = rt.held_locks(t)[0].span;
+  EXPECT_NE(span, 0u);
+  // Recursive shared acquisition: count goes up, entry stays single, and
+  // the hold keeps its span and the outermost acquisition's site.
+  rt.post_lock(t, rw, LockMode::Shared, inner);
   ASSERT_EQ(rt.held_locks(t).size(), 1u);
   EXPECT_EQ(rt.held_locks(t)[0].count, 2u);
+  EXPECT_EQ(rt.held_locks(t)[0].span, span);
+  EXPECT_EQ(rt.held_locks(t)[0].site, outer);
   rt.unlock(t, rw, 0);
   ASSERT_EQ(rt.held_locks(t).size(), 1u);
+  EXPECT_EQ(rt.held_locks(t)[0].span, span);
   rt.unlock(t, rw, 0);
   EXPECT_TRUE(rt.held_locks(t).empty());
+  // A re-acquisition after the full release is a new hold span.
+  rt.post_lock(t, rw, LockMode::Shared, inner);
+  ASSERT_EQ(rt.held_locks(t).size(), 1u);
+  EXPECT_NE(rt.held_locks(t)[0].span, 0u);
+  EXPECT_NE(rt.held_locks(t)[0].span, span);
+  EXPECT_EQ(rt.held_locks(t)[0].site, inner);
+  rt.unlock(t, rw, 0);
 }
 
 TEST(Runtime, LockNames) {

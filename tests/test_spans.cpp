@@ -199,8 +199,8 @@ TEST(ContentionTable, WaitHoldAndWaitersBehindAccounting) {
 
 TEST(ContentionTable, TryLockAndUnmatchedUnlockStayConsistent) {
   ContentionTable table;
-  // try_lock success: PostLock with no PreLock. Counts as an uncontended
-  // acquisition.
+  // PostLock with no PreLock (the runtime's try_lock raises both, but the
+  // table does not rely on it): counts as an uncontended acquisition.
   table.on_post_lock(5, 1, 10, support::kUnknownSite);
   table.on_unlock(5, 1, 12);
   // Unlock with no matching acquisition state: ignored, no underflow.
