@@ -147,8 +147,8 @@ void HelgrindTool::basic_access(const rt::MemoryAccess& a) {
 /// recorded schedule and are not re-recorded. Called *before* warn() so
 /// the triggering access lands inside the report's provenance cursor.
 void HelgrindTool::trace_refinement(const rt::MemoryAccess& a) {
-  rt_->trace_addr(obs::EventKind::Access, a.thread, a.addr, a.size, a.site,
-                  rt::access_flags(a));
+  rt_->record(obs::EventKind::Access,
+              {a.thread, a.addr, a.size, a.site, rt::access_flags(a)});
 }
 
 void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
@@ -178,8 +178,8 @@ void HelgrindTool::touch(Cell& cell, const rt::MemoryAccess& a) {
       // at this — the first shared — access.
       const MemState prev = cell.state();
       cell.lockset = effective_locks(a.thread, is_write, a.bus_locked);
-      rt_->trace_addr(obs::EventKind::DetectorShare, a.thread, a.addr,
-                      is_write ? 1 : 0, a.site);
+      rt_->record(obs::EventKind::DetectorShare,
+                  {a.thread, a.addr, is_write, a.site});
       if (is_write) {
         cell.set_state(MemState::SharedModified);
         if (locksets_.empty(cell.lockset))
@@ -225,8 +225,8 @@ void HelgrindTool::warn(Cell& cell, const rt::MemoryAccess& a,
                         const char* prev_state,
                         shadow::LocksetId prev_lockset) {
   // Recorded first so the report's cursor covers the warning event.
-  rt_->trace_addr(obs::EventKind::DetectorWarning, a.thread, a.addr,
-                  reports_.distinct_locations(), a.site);
+  rt_->record(obs::EventKind::DetectorWarning,
+              {a.thread, a.addr, reports_.distinct_locations(), a.site});
   Report r = make_report(*rt_, Report::Kind::DataRace, a);
   r.prev_state = prev_state;
   if (prev_lockset == shadow::kEmptyLockset) {

@@ -76,10 +76,8 @@ void LockGraphTool::on_pre_lock(rt::ThreadId tid, rt::LockId lock,
             [](const rt::HeldLock& a, const rt::HeldLock& b) {
               return a.lock < b.lock;
             });
-  obs::FlightRecorder* fr = rt_->recorder();
-  if (fr != nullptr)
-    fr->record_now(obs::EventKind::DeadlockAcquire, tid, lock, holds.size(),
-                   site);
+  rt_->record(obs::EventKind::DeadlockAcquire, {tid, lock, holds.size(), site});
+  const obs::FlightRecorder* fr = rt_->recorder();
   const auto inherited = inherited_.find(tid);
   for (const rt::HeldLock& hold : holds) {
     const rt::LockId first = hold.lock;
@@ -381,9 +379,8 @@ void LockGraphTool::report_prediction(const CycleCandidate& cycle,
   r.cycle_locks = pc.lock_ids();
   r.cycle_threads = pc.thread_ids();
   pc.recorder_cursor = r.recorder_cursor;
-  if (obs::FlightRecorder* fr = rt_->recorder(); fr != nullptr)
-    fr->record_now(obs::EventKind::DeadlockCycle, at.thread,
-                   cycle.locks.front(), n, at.site);
+  rt_->record(obs::EventKind::DeadlockCycle,
+              {at.thread, cycle.locks.front(), n, at.site});
 
   std::string extra;
   for (const PredictedCycle::Edge& e : pc.edges) {
@@ -421,6 +418,11 @@ void LockGraphTool::export_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("lockgraph.predicted_cycles").set(counters_.predicted);
   registry.counter("lockgraph.naive_inversions")
       .set(reports_.distinct_locations());
+  // Sizes of the fork-inheritance state, none of it capped yet.
+  registry.gauge("lockgraph.inherited").set(std::ssize(inherited_));
+  registry.gauge("lockgraph.open_spans").set(std::ssize(open_spans_));
+  registry.gauge("lockgraph.closed_spans").set(std::ssize(closed_spans_));
+  registry.gauge("lockgraph.joined_at").set(std::ssize(joined_at_));
 }
 
 }  // namespace rg::core

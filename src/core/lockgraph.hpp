@@ -111,7 +111,8 @@ class LockGraphTool : public rt::Tool {
   };
   const Counters& counters() const { return counters_; }
 
-  /// Publishes the counters as `lockgraph.*` (plus the report tallies).
+  /// Publishes the counters as `lockgraph.*` (plus the report tallies),
+  /// and the sizes of the fork-inheritance maps as gauges.
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:

@@ -8,48 +8,25 @@
 
 namespace rg::obs {
 
-const char* to_string(Hook hook) {
-  switch (hook) {
-    case Hook::ThreadStart: return "thread_start";
-    case Hook::ThreadExit: return "thread_exit";
-    case Hook::ThreadJoin: return "thread_join";
-    case Hook::LockCreate: return "lock_create";
-    case Hook::LockDestroy: return "lock_destroy";
-    case Hook::PreLock: return "pre_lock";
-    case Hook::PostLock: return "post_lock";
-    case Hook::Unlock: return "unlock";
-    case Hook::CondSignal: return "cond_signal";
-    case Hook::CondWait: return "cond_wait";
-    case Hook::SemPost: return "sem_post";
-    case Hook::SemWait: return "sem_wait";
-    case Hook::QueuePut: return "queue_put";
-    case Hook::QueueGet: return "queue_get";
-    case Hook::Access: return "access";
-    case Hook::Alloc: return "alloc";
-    case Hook::Free: return "free";
-    case Hook::Destruct: return "destruct";
-    case Hook::Finish: return "finish";
-  }
-  return "?";
-}
-
 std::size_t HookProfiler::register_tool(std::string name) {
+  const auto it = std::find(tools_.begin(), tools_.end(), name);
+  if (it != tools_.end()) return static_cast<std::size_t>(it - tools_.begin());
   tools_.push_back(std::move(name));
-  cells_.resize(tools_.size() * kHookCount);
+  cells_.resize(tools_.size() * kEventKindCount);
   return tools_.size() - 1;
 }
 
 std::uint64_t HookProfiler::total_events(std::size_t tool) const {
   std::uint64_t n = 0;
-  for (std::size_t h = 0; h < kHookCount; ++h)
-    n += cells_[tool * kHookCount + h].events;
+  for (std::size_t k = 0; k < kEventKindCount; ++k)
+    n += cells_[tool * kEventKindCount + k].events;
   return n;
 }
 
 std::uint64_t HookProfiler::total_cycles(std::size_t tool) const {
   std::uint64_t n = 0;
-  for (std::size_t h = 0; h < kHookCount; ++h)
-    n += cells_[tool * kHookCount + h].cycles;
+  for (std::size_t k = 0; k < kEventKindCount; ++k)
+    n += cells_[tool * kEventKindCount + k].cycles;
   return n;
 }
 
@@ -58,16 +35,17 @@ std::string HookProfiler::render() const {
   table.header({"tool", "hook", "events", "cycles", "cycles/event"});
   struct Row {
     std::size_t tool;
-    Hook hook;
+    EventKind kind;
     std::uint64_t events;
     std::uint64_t cycles;
   };
   std::vector<Row> rows;
   for (std::size_t t = 0; t < tools_.size(); ++t) {
-    for (std::size_t h = 0; h < kHookCount; ++h) {
-      const Cell& c = cells_[t * kHookCount + h];
+    for (std::size_t k = 0; k < kEventKindCount; ++k) {
+      const auto kind = static_cast<EventKind>(k);
+      const Cell& c = cell(t, kind);
       if (c.events == 0) continue;
-      rows.push_back({t, static_cast<Hook>(h), c.events, c.cycles});
+      rows.push_back({t, kind, c.events, c.cycles});
     }
   }
   std::stable_sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
@@ -77,7 +55,7 @@ std::string HookProfiler::render() const {
     char per[32];
     std::snprintf(per, sizeof per, "%.1f",
                   static_cast<double>(r.cycles) / static_cast<double>(r.events));
-    table.add_row({tools_[r.tool], to_string(r.hook), std::to_string(r.events),
+    table.add_row({tools_[r.tool], to_string(r.kind), std::to_string(r.events),
                    std::to_string(r.cycles), per});
   }
   for (std::size_t t = 0; t < tools_.size(); ++t) {
@@ -90,12 +68,13 @@ std::string HookProfiler::render() const {
 void HookProfiler::export_to(MetricsRegistry& registry) const {
   for (std::size_t t = 0; t < tools_.size(); ++t) {
     const std::string base = "profiler." + tools_[t];
-    for (std::size_t h = 0; h < kHookCount; ++h) {
-      const Cell& c = cells_[t * kHookCount + h];
+    for (std::size_t k = 0; k < kEventKindCount; ++k) {
+      const auto kind = static_cast<EventKind>(k);
+      const Cell& c = cell(t, kind);
       if (c.events == 0) continue;
-      const std::string hook = to_string(static_cast<Hook>(h));
-      registry.counter(base + "." + hook + ".events").set(c.events);
-      registry.counter(base + "." + hook + ".cycles").set(c.cycles);
+      const std::string name = base + "." + to_string(kind);
+      registry.counter(name + ".events").set(c.events);
+      registry.counter(name + ".cycles").set(c.cycles);
     }
     registry.counter(base + ".total.events").set(total_events(t));
     registry.counter(base + ".total.cycles").set(total_cycles(t));

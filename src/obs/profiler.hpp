@@ -3,9 +3,11 @@
 // The paper attributes the detector's slowdown to its instrumentation
 // phases; this profiler produces the same attribution live. The Runtime
 // wraps every tool-hook dispatch in a cycle stamp, so after a run the
-// profiler holds, per attached tool and per hook, the number of events
-// delivered and the cycles spent inside the tool's handler. Rendered as a
-// table (tools x hooks) or exported into a MetricsRegistry.
+// profiler holds, per tool and per dispatched EventKind, the number of
+// events delivered and the cycles spent inside the tool's handler. Rows
+// are keyed by tool name, so one profiler shared by several Sims sums
+// each tool's runs in one row. Rendered as a table (tools x kinds) or
+// exported into a MetricsRegistry.
 //
 // Cycle counts use the TSC on x86-64 (a steady-clock fallback elsewhere);
 // they are *measurements*, not part of the deterministic trace — the
@@ -17,35 +19,16 @@
 #include <string>
 #include <vector>
 
+#include "obs/recorder.hpp"
+
 namespace rg::obs {
 
 class MetricsRegistry;
 
-/// The Tool hook vocabulary (mirrors rt::Tool's virtual interface).
-enum class Hook : std::uint8_t {
-  ThreadStart,
-  ThreadExit,
-  ThreadJoin,
-  LockCreate,
-  LockDestroy,
-  PreLock,
-  PostLock,
-  Unlock,
-  CondSignal,
-  CondWait,
-  SemPost,
-  SemWait,
-  QueuePut,
-  QueueGet,
-  Access,
-  Alloc,
-  Free,
-  Destruct,
-  Finish,
-};
-constexpr std::size_t kHookCount = static_cast<std::size_t>(Hook::Finish) + 1;
-
-const char* to_string(Hook hook);
+// Names the frozen perfbench/ benchmark still uses; they go when it moves to
+// EventKind (ROADMAP item 10).
+using Hook = EventKind;
+constexpr std::size_t kHookCount = kEventKindCount;
 
 /// Cheap cycle stamp for the dispatch wrapper.
 inline std::uint64_t cycle_now() {
@@ -61,34 +44,34 @@ inline std::uint64_t cycle_now() {
 
 class HookProfiler {
  public:
-  /// Registers a tool row; returns its index. The Runtime registers tools
-  /// in attach order, so indices match its tool list.
+  /// The row of the tool named `name`, added on first use (tools of one
+  /// name share it); the Runtime keeps the index it gets for each tool.
   std::size_t register_tool(std::string name);
 
   /// Accounts one delivered event and the cycles its handler consumed.
-  void add(std::size_t tool, Hook hook, std::uint64_t cycles) {
-    Cell& c = cells_[tool * kHookCount + static_cast<std::size_t>(hook)];
+  void add(std::size_t tool, EventKind kind, std::uint64_t cycles) {
+    Cell& c = cell(tool, kind);
     ++c.events;
     c.cycles += cycles;
   }
 
   std::size_t tool_count() const { return tools_.size(); }
   const std::string& tool_name(std::size_t tool) const { return tools_[tool]; }
-  std::uint64_t events(std::size_t tool, Hook hook) const {
-    return cells_[tool * kHookCount + static_cast<std::size_t>(hook)].events;
+  std::uint64_t events(std::size_t tool, EventKind kind) const {
+    return cell(tool, kind).events;
   }
-  std::uint64_t cycles(std::size_t tool, Hook hook) const {
-    return cells_[tool * kHookCount + static_cast<std::size_t>(hook)].cycles;
+  std::uint64_t cycles(std::size_t tool, EventKind kind) const {
+    return cell(tool, kind).cycles;
   }
   std::uint64_t total_events(std::size_t tool) const;
   std::uint64_t total_cycles(std::size_t tool) const;
 
-  /// Fig. 5-style table: one row per (tool, hook) with events, cycles and
-  /// cycles/event, hooks that saw no events omitted, ordered by cycles.
+  /// Fig. 5-style table: one row per (tool, kind) with events, cycles and
+  /// cycles/event, kinds that saw no events omitted, ordered by cycles.
   std::string render() const;
 
-  /// Publishes `profiler.<tool>.<hook>.events/cycles` counters (plus
-  /// per-tool totals) into the registry.
+  /// Publishes `profiler.<tool>.<kind>.events/cycles` counters (plus
+  /// per-tool totals) into the registry; `<kind>` is to_string(EventKind).
   void export_to(MetricsRegistry& registry) const;
 
  private:
@@ -96,9 +79,15 @@ class HookProfiler {
     std::uint64_t events = 0;
     std::uint64_t cycles = 0;
   };
+  Cell& cell(std::size_t tool, EventKind kind) {
+    return cells_[tool * kEventKindCount + static_cast<std::size_t>(kind)];
+  }
+  const Cell& cell(std::size_t tool, EventKind kind) const {
+    return cells_[tool * kEventKindCount + static_cast<std::size_t>(kind)];
+  }
 
   std::vector<std::string> tools_;
-  std::vector<Cell> cells_;  // tools_ x kHookCount, row-major
+  std::vector<Cell> cells_;  // tools_ x kEventKindCount, row-major
 };
 
 }  // namespace rg::obs

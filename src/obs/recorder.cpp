@@ -48,7 +48,7 @@ const char* to_string(EventKind kind) {
     case EventKind::DeadlockCycle: return "deadlock-cycle";
     case EventKind::SpanBegin: return "span-begin";
     case EventKind::SpanEnd: return "span-end";
-    case EventKind::Custom: return "custom";
+    case EventKind::Finish: return "finish";
   }
   return "?";
 }

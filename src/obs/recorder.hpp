@@ -45,6 +45,13 @@ namespace rg::obs {
 
 class SpanTracker;
 
+/// The one event vocabulary: the flight recorder's kinds and, by the same
+/// values, the hook profiler's cells. ThreadStart to Destruct are the
+/// runtime's events, recorded and dispatched to the tools by one call
+/// (Runtime::emit), except that ThreadExit and LockDestroy are only
+/// recorded (no tool hooks them) and Access is dispatched on every access
+/// but recorded only by the detector. SchedSwitch and the kinds after
+/// Destruct are only recorded; Finish is only dispatched.
 enum class EventKind : std::uint8_t {
   // Scheduler / thread lifecycle.
   SchedSwitch,  // a = previous thread; tid = incoming thread
@@ -86,12 +93,21 @@ enum class EventKind : std::uint8_t {
   SpanBegin,          // a = span id, b = (trace << 32) | parent span;
                       // flags = TxnClass
   SpanEnd,            // a = span id, b = virtual-time duration
-  Custom,
+  // End of the run: tools flush (Tool::on_finish). Never recorded.
+  Finish,
 };
 constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(EventKind::Custom) + 1;
+    static_cast<std::size_t>(EventKind::Finish) + 1;
 
 const char* to_string(EventKind kind);
+
+/// Kinds whose `a` is an address: the recorder normalises it (Event::norm).
+constexpr bool address_kind(EventKind kind) {
+  return kind == EventKind::Access || kind == EventKind::Alloc ||
+         kind == EventKind::Free || kind == EventKind::Destruct ||
+         kind == EventKind::DetectorShare ||
+         kind == EventKind::DetectorWarning;
+}
 
 /// Event::flags bits for EventKind::Access.
 constexpr std::uint8_t kAccessWrite = 0x1;
@@ -120,7 +136,7 @@ struct Event {
   std::uint32_t norm = 0;
   rt::ThreadId tid = rt::kNoThread;
   std::uint32_t span = 0;
-  EventKind kind = EventKind::Custom;
+  EventKind kind = EventKind::Finish;
   std::uint8_t flags = 0;
 };
 
@@ -316,13 +332,6 @@ class FlightRecorder {
 
     void grow();
   };
-
-  static bool address_kind(EventKind kind) {
-    return kind == EventKind::Access || kind == EventKind::Alloc ||
-           kind == EventKind::Free || kind == EventKind::Destruct ||
-           kind == EventKind::DetectorShare ||
-           kind == EventKind::DetectorWarning;
-  }
 
   std::size_t capacity_ = 0;  // power of two
   std::size_t mask_ = 0;

@@ -19,15 +19,18 @@ Runtime::Runtime() = default;
 void Runtime::attach(Tool& tool) {
   tools_.push_back(&tool);
   // Register the row before on_attach: a tool that creates locks in its
-  // attach hook re-enters dispatch() and needs its profiler cell to exist.
-  if (profiler_ != nullptr) profiler_->register_tool(tool.name());
+  // attach hook re-enters dispatch() and needs its profiler row to exist.
+  if (profiler_ != nullptr)
+    profiler_rows_.push_back(profiler_->register_tool(tool.name()));
   tool.on_attach(*this);
 }
 
 void Runtime::set_profiler(obs::HookProfiler* profiler) {
   profiler_ = profiler;
+  profiler_rows_.clear();
   if (profiler_ == nullptr) return;
-  for (const Tool* t : tools_) profiler_->register_tool(t->name());
+  for (const Tool* t : tools_)
+    profiler_rows_.push_back(profiler_->register_tool(t->name()));
 }
 
 ThreadId Runtime::register_thread(std::string_view name, ThreadId parent,
@@ -37,26 +40,20 @@ ThreadId Runtime::register_thread(std::string_view name, ThreadId parent,
   info.name = std::string(name);
   info.parent = parent;
   threads_.push_back(std::move(info));
-  if (recorder_ != nullptr) {
-    recorder_->note_thread_name(tid, std::string(name));
-    recorder_->record_now(obs::EventKind::ThreadStart, tid, parent, 0, site);
-  }
-  dispatch(obs::Hook::ThreadStart,
-           [&](Tool* t) { t->on_thread_start(tid, parent, site); });
+  emit(obs::EventKind::ThreadStart, {tid, parent, 0, site},
+       [&](Tool* t) { t->on_thread_start(tid, parent, site); });
   return tid;
 }
 
 void Runtime::thread_exited(ThreadId tid) {
   thread(tid).alive = false;
-  trace(obs::EventKind::ThreadExit, tid, 0, 0);
-  dispatch(obs::Hook::ThreadExit, [&](Tool* t) { t->on_thread_exit(tid); });
+  record(obs::EventKind::ThreadExit, {tid});
 }
 
 void Runtime::thread_joined(ThreadId joiner, ThreadId joined,
                             support::SiteId site) {
-  trace(obs::EventKind::ThreadJoin, joiner, joined, 0, site);
-  dispatch(obs::Hook::ThreadJoin,
-           [&](Tool* t) { t->on_thread_join(joiner, joined, site); });
+  emit(obs::EventKind::ThreadJoin, {joiner, joined, 0, site},
+       [&](Tool* t) { t->on_thread_join(joiner, joined, site); });
 }
 
 std::string_view Runtime::thread_name(ThreadId tid) const {
@@ -68,32 +65,25 @@ bool Runtime::thread_alive(ThreadId tid) const { return thread(tid).alive; }
 LockId Runtime::register_lock(std::string_view name, bool is_rw) {
   const auto id = static_cast<LockId>(locks_.size());
   locks_.push_back(LockInfo{support::intern(name), is_rw, true});
-  if (recorder_ != nullptr) {
-    recorder_->note_lock_name(id, std::string(name));
-    recorder_->record_now(obs::EventKind::LockCreate, kNoThread, id,
-                          is_rw ? 1 : 0);
-  }
-  dispatch(obs::Hook::LockCreate,
-           [&, name_sym = locks_.back().name](Tool* t) {
-             t->on_lock_create(id, name_sym, is_rw);
-           });
+  emit(obs::EventKind::LockCreate, {kNoThread, id, is_rw},
+       [&, name_sym = locks_.back().name](Tool* t) {
+         t->on_lock_create(id, name_sym, is_rw);
+       });
   return id;
 }
 
 void Runtime::lock_destroyed(LockId lock) {
   RG_ASSERT(lock < locks_.size());
   locks_[lock].alive = false;
-  trace(obs::EventKind::LockDestroy, kNoThread, lock, 0);
-  dispatch(obs::Hook::LockDestroy, [&](Tool* t) { t->on_lock_destroy(lock); });
+  record(obs::EventKind::LockDestroy, {kNoThread, lock});
 }
 
 void Runtime::pre_lock(ThreadId tid, LockId lock, LockMode mode,
                        support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::PreLock, tid, lock, 0, site,
-        static_cast<std::uint8_t>(mode));
-  dispatch(obs::Hook::PreLock,
-           [&](Tool* t) { t->on_pre_lock(tid, lock, mode, site); });
+  emit(obs::EventKind::PreLock,
+       {tid, lock, 0, site, static_cast<std::uint8_t>(mode)},
+       [&](Tool* t) { t->on_pre_lock(tid, lock, mode, site); });
 }
 
 void Runtime::post_lock(ThreadId tid, LockId lock, LockMode mode,
@@ -108,10 +98,9 @@ void Runtime::post_lock(ThreadId tid, LockId lock, LockMode mode,
   } else {
     held.push_back(HeldLock{lock, mode, 1, site, ++hold_seq_});
   }
-  trace(obs::EventKind::PostLock, tid, lock, 0, site,
-        static_cast<std::uint8_t>(mode));
-  dispatch(obs::Hook::PostLock,
-           [&](Tool* t) { t->on_post_lock(tid, lock, mode, site); });
+  emit(obs::EventKind::PostLock,
+       {tid, lock, 0, site, static_cast<std::uint8_t>(mode)},
+       [&](Tool* t) { t->on_post_lock(tid, lock, mode, site); });
 }
 
 void Runtime::unlock(ThreadId tid, LockId lock, support::SiteId site) {
@@ -124,8 +113,8 @@ void Runtime::unlock(ThreadId tid, LockId lock, support::SiteId site) {
     *it = held.back();
     held.pop_back();
   }
-  trace(obs::EventKind::Unlock, tid, lock, 0, site);
-  dispatch(obs::Hook::Unlock, [&](Tool* t) { t->on_unlock(tid, lock, site); });
+  emit(obs::EventKind::Unlock, {tid, lock, 0, site},
+       [&](Tool* t) { t->on_unlock(tid, lock, site); });
 }
 
 const support::small_vector<HeldLock, 4>& Runtime::held_locks(
@@ -151,49 +140,43 @@ std::string_view Runtime::sync_name(SyncId id) const {
 
 void Runtime::cond_signal(ThreadId tid, SyncId cond, support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::CondSignal, tid, cond, 0, site);
-  dispatch(obs::Hook::CondSignal,
-           [&](Tool* t) { t->on_cond_signal(tid, cond, site); });
+  emit(obs::EventKind::CondSignal, {tid, cond, 0, site},
+       [&](Tool* t) { t->on_cond_signal(tid, cond, site); });
 }
 
 void Runtime::cond_wait_return(ThreadId tid, SyncId cond, LockId lock,
                                support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::CondWait, tid, cond, lock, site);
-  dispatch(obs::Hook::CondWait,
-           [&](Tool* t) { t->on_cond_wait_return(tid, cond, lock, site); });
+  emit(obs::EventKind::CondWait, {tid, cond, lock, site},
+       [&](Tool* t) { t->on_cond_wait_return(tid, cond, lock, site); });
 }
 
 void Runtime::sem_post(ThreadId tid, SyncId sem, std::uint64_t token,
                        support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::SemPost, tid, sem, token, site);
-  dispatch(obs::Hook::SemPost,
-           [&](Tool* t) { t->on_sem_post(tid, sem, token, site); });
+  emit(obs::EventKind::SemPost, {tid, sem, token, site},
+       [&](Tool* t) { t->on_sem_post(tid, sem, token, site); });
 }
 
 void Runtime::sem_wait_return(ThreadId tid, SyncId sem, std::uint64_t token,
                               support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::SemWait, tid, sem, token, site);
-  dispatch(obs::Hook::SemWait,
-           [&](Tool* t) { t->on_sem_wait_return(tid, sem, token, site); });
+  emit(obs::EventKind::SemWait, {tid, sem, token, site},
+       [&](Tool* t) { t->on_sem_wait_return(tid, sem, token, site); });
 }
 
 void Runtime::queue_put(ThreadId tid, SyncId queue, std::uint64_t token,
                         support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::QueuePut, tid, queue, token, site);
-  dispatch(obs::Hook::QueuePut,
-           [&](Tool* t) { t->on_queue_put(tid, queue, token, site); });
+  emit(obs::EventKind::QueuePut, {tid, queue, token, site},
+       [&](Tool* t) { t->on_queue_put(tid, queue, token, site); });
 }
 
 void Runtime::queue_get(ThreadId tid, SyncId queue, std::uint64_t token,
                         support::SiteId site) {
   ++sync_events_;
-  trace(obs::EventKind::QueueGet, tid, queue, token, site);
-  dispatch(obs::Hook::QueueGet,
-           [&](Tool* t) { t->on_queue_get(tid, queue, token, site); });
+  emit(obs::EventKind::QueueGet, {tid, queue, token, site},
+       [&](Tool* t) { t->on_queue_get(tid, queue, token, site); });
 }
 
 void Runtime::access(const MemoryAccess& a) {
@@ -203,18 +186,15 @@ void Runtime::access(const MemoryAccess& a) {
   // but no information. The detector records the accesses that matter (the
   // ones that change shadow state) as EventKind::Access from its hook.
   ++access_events_;
-  dispatch(obs::Hook::Access, [&](Tool* t) { t->on_access(a); });
+  dispatch(obs::EventKind::Access, [&](Tool* t) { t->on_access(a); });
 }
 
 void Runtime::alloc(ThreadId tid, Addr addr, std::uint32_t size,
                     support::SiteId site) {
   const AllocInfo block{addr, size, site, tid, true, ++alloc_seq_};
   allocs_.insert(block);
-  if (recorder_ != nullptr)
-    recorder_->record_now(obs::EventKind::Alloc, tid, addr, size, site, 0,
-                          base_identity(block));
-  dispatch(obs::Hook::Alloc,
-           [&](Tool* t) { t->on_alloc(tid, addr, size, site); });
+  emit(obs::EventKind::Alloc, {tid, addr, size, site, 0, base_identity(block)},
+       [&](Tool* t) { t->on_alloc(tid, addr, size, site); });
 }
 
 void Runtime::free(ThreadId tid, Addr addr, support::SiteId site) {
@@ -222,22 +202,18 @@ void Runtime::free(ThreadId tid, Addr addr, support::SiteId site) {
   RG_ASSERT_MSG(block != nullptr && block->live && block->base == addr,
                 "free of unknown allocation");
   const std::uint32_t size = block->size;
-  // The event carries the block's allocation-seq identity, matching the
-  // block's accesses.
-  if (recorder_ != nullptr)
-    recorder_->record_now(obs::EventKind::Free, tid, addr, size, site, 0,
-                          base_identity(*block));
   allocs_.kill(*block);
   if (addr == ident_base_) ident_size_ = 0;
-  dispatch(obs::Hook::Free,
-           [&](Tool* t) { t->on_free(tid, addr, size, site); });
+  // The event carries the block's allocation-seq identity (its tombstone
+  // keeps the seq), matching the block's accesses.
+  emit(obs::EventKind::Free, {tid, addr, size, site, 0, base_identity(*block)},
+       [&](Tool* t) { t->on_free(tid, addr, size, site); });
 }
 
 void Runtime::destruct_annotation(ThreadId tid, Addr addr, std::uint32_t size,
                                   support::SiteId site) {
-  trace_addr(obs::EventKind::Destruct, tid, addr, size, site);
-  dispatch(obs::Hook::Destruct,
-           [&](Tool* t) { t->on_destruct_annotation(tid, addr, size, site); });
+  emit(obs::EventKind::Destruct, {tid, addr, size, site},
+       [&](Tool* t) { t->on_destruct_annotation(tid, addr, size, site); });
 }
 
 void AllocTable::insert(const AllocInfo& block) {
@@ -296,7 +272,7 @@ std::vector<support::SiteId> Runtime::stack_of(ThreadId tid) const {
 }
 
 void Runtime::finish() {
-  dispatch(obs::Hook::Finish, [&](Tool* t) { t->on_finish(); });
+  dispatch(obs::EventKind::Finish, [&](Tool* t) { t->on_finish(); });
 }
 
 ToolStats Runtime::tool_stats() const {

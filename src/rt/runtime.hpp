@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/profiler.hpp"
@@ -125,6 +126,18 @@ class AllocTable {
   std::size_t count_ = 0;
 };
 
+/// The recorded fields of one event (see FlightRecorder::record). `ident`
+/// is the allocation identity of an address-bearing event's `a` when the
+/// caller already holds its block; 0 = Runtime::record looks it up.
+struct EventFields {
+  ThreadId tid = kNoThread;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  support::SiteId site = support::kUnknownSite;
+  std::uint8_t flags = 0;
+  std::uint64_t ident = 0;
+};
+
 /// Event::flags encoding of an access for the flight recorder.
 inline std::uint8_t access_flags(const MemoryAccess& a) {
   std::uint8_t flags = 0;
@@ -145,11 +158,29 @@ class Runtime {
   std::size_t tool_count() const { return tools_.size(); }
 
   // --- observability -------------------------------------------------------
-  /// Mirrors every runtime event into the flight recorder (nullptr = off;
+  /// Records every runtime event into the flight recorder (nullptr = off;
   /// one branch per event). Attach before the run starts so the stream is
   /// complete.
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
   obs::FlightRecorder* recorder() const { return recorder_; }
+
+  /// Records one event (a no-op with no recorder attached): the runtime's
+  /// one recording entry, also used by tools for their milestones. An
+  /// address-bearing kind (obs::address_kind) is normalised on
+  /// `fields.ident`, or else on trace_identity(a). ThreadStart and
+  /// LockCreate also give the recorder the new thread's or lock's name.
+  void record(obs::EventKind kind, const EventFields& fields) {
+    if (recorder_ == nullptr) return;
+    if (kind == obs::EventKind::ThreadStart)
+      recorder_->note_thread_name(fields.tid, thread(fields.tid).name);
+    else if (kind == obs::EventKind::LockCreate)
+      recorder_->note_lock_name(fields.a, std::string(lock_name(
+                                              static_cast<LockId>(fields.a))));
+    std::uint64_t ident = fields.ident;
+    if (ident == 0 && obs::address_kind(kind)) ident = trace_identity(fields.a);
+    recorder_->record_now(kind, fields.tid, fields.a, fields.b, fields.site,
+                          fields.flags, ident);
+  }
 
   /// Wraps each tool-hook dispatch in a cycle stamp (nullptr = off). Tools
   /// already attached are registered immediately; later attaches register
@@ -251,9 +282,10 @@ class Runtime {
   };
 
   /// Fans one event out to every tool, stamping each handler with cycles
-  /// when a profiler is attached. `call` receives the tool pointer.
+  /// into its profiler row when a profiler is attached. `call` receives
+  /// the tool pointer.
   template <typename F>
-  void dispatch(obs::Hook hook, F&& call) {
+  void dispatch(obs::EventKind kind, F&& call) {
     if (profiler_ == nullptr) {
       for (Tool* t : tools_) call(t);
       return;
@@ -261,15 +293,16 @@ class Runtime {
     for (std::size_t i = 0; i < tools_.size(); ++i) {
       const std::uint64_t t0 = obs::cycle_now();
       call(tools_[i]);
-      profiler_->add(i, hook, obs::cycle_now() - t0);
+      profiler_->add(profiler_rows_[i], kind, obs::cycle_now() - t0);
     }
   }
 
-  /// Mirrors one event into the flight recorder (no-op when detached).
-  void trace(obs::EventKind kind, ThreadId tid, std::uint64_t a,
-             std::uint64_t b, support::SiteId site = support::kUnknownSite,
-             std::uint8_t flags = 0) {
-    if (recorder_ != nullptr) recorder_->record_now(kind, tid, a, b, site, flags);
+  /// The one path for an event that is both recorded and dispatched:
+  /// record(), then dispatch().
+  template <typename F>
+  void emit(obs::EventKind kind, const EventFields& fields, F&& call) {
+    record(kind, fields);
+    dispatch(kind, std::forward<F>(call));
   }
 
  public:
@@ -291,21 +324,9 @@ class Runtime {
     return obs::alloc_identity(b->seq, addr - b->base);
   }
 
-  /// trace() for address-bearing events: attaches trace_identity(addr) so
-  /// the recorder's normalisation keys on allocation identity. Used by the
-  /// runtime's own memory events and by tools recording detector
-  /// milestones (DetectorShare / DetectorWarning).
-  void trace_addr(obs::EventKind kind, ThreadId tid, Addr addr,
-                  std::uint64_t b, support::SiteId site = support::kUnknownSite,
-                  std::uint8_t flags = 0) {
-    if (recorder_ == nullptr) return;
-    recorder_->record_now(kind, tid, addr, b, site, flags,
-                          trace_identity(addr));
-  }
-
  private:
-  /// trace_identity() of a live block's base, from the block itself: alloc
-  /// and free hold it already and skip the lookup.
+  /// trace_identity() of a live block's base, from the block itself (its
+  /// tombstone keeps it): alloc and free hold the block and skip the lookup.
   static std::uint64_t base_identity(const AllocInfo& block) {
     return block.size != 0 ? obs::alloc_identity(block.seq, 0) : 0;
   }
@@ -322,6 +343,8 @@ class Runtime {
   std::vector<Tool*> tools_;
   obs::FlightRecorder* recorder_ = nullptr;
   obs::HookProfiler* profiler_ = nullptr;
+  // Each tool's profiler row (by attach position), as register_tool gave.
+  std::vector<std::size_t> profiler_rows_;
   std::vector<ThreadInfo> threads_;
   std::vector<LockInfo> locks_;
   std::vector<support::Symbol> syncs_;

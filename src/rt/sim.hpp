@@ -59,12 +59,11 @@ class Sim {
   /// breakers, chaos injection) record through Sim::current()->recorder().
   /// Must be called before run(); caller keeps ownership.
   void set_recorder(obs::FlightRecorder* recorder) {
-    recorder_ = recorder;
     if (recorder != nullptr) recorder->set_clock(sched_.vtime_source());
     runtime_.set_recorder(recorder);
     sched_.set_recorder(recorder);
   }
-  obs::FlightRecorder* recorder() const { return recorder_; }
+  obs::FlightRecorder* recorder() const { return runtime_.recorder(); }
 
   /// Attaches a per-tool hook profiler (see Runtime::set_profiler).
   void set_profiler(obs::HookProfiler* profiler) {
@@ -97,7 +96,6 @@ class Sim {
   SimConfig config_;
   Runtime runtime_;
   Scheduler sched_;
-  obs::FlightRecorder* recorder_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
   bool ran_ = false;
 };

@@ -1,9 +1,8 @@
 // Instrumented thread handle.
 //
 // Under a Sim, constructs a simulated thread (raising on_thread_start /
-// on_thread_exit / on_thread_join events, which drive the thread-segment
-// graph of Fig. 2); outside a Sim, wraps a plain std::thread for the native
-// baseline.
+// on_thread_join events, which drive the thread-segment graph of Fig. 2);
+// outside a Sim, wraps a plain std::thread for the native baseline.
 #pragma once
 
 #include <functional>

@@ -88,7 +88,6 @@ class Tool {
   /// `parent` is kNoThread for the initial thread.
   virtual void on_thread_start(ThreadId /*tid*/, ThreadId /*parent*/,
                                support::SiteId /*site*/) {}
-  virtual void on_thread_exit(ThreadId /*tid*/) {}
   /// Raised after `joiner` has successfully joined `joined`.
   virtual void on_thread_join(ThreadId /*joiner*/, ThreadId /*joined*/,
                               support::SiteId /*site*/) {}
@@ -96,7 +95,6 @@ class Tool {
   // --- locks --------------------------------------------------------------
   virtual void on_lock_create(LockId /*lock*/, support::Symbol /*name*/,
                               bool /*is_rw*/) {}
-  virtual void on_lock_destroy(LockId /*lock*/) {}
   /// Raised before the acquiring thread may block on the lock.
   virtual void on_pre_lock(ThreadId /*tid*/, LockId /*lock*/, LockMode /*mode*/,
                            support::SiteId /*site*/) {}

@@ -191,6 +191,14 @@ TEST(LockGraph, ForkInheritedDistinctSpansSerialize) {
 
   EXPECT_EQ(tool.predicted().size(), 0u);
   EXPECT_GE(tool.counters().pruned_guarded, 1u);
+  // Both children inherited one gate span each; both spans closed after
+  // both joins. None of that state is dropped yet.
+  obs::MetricsRegistry m;
+  tool.export_metrics(m);
+  EXPECT_EQ(m.gauge("lockgraph.inherited").value(), 2);
+  EXPECT_EQ(m.gauge("lockgraph.open_spans").value(), 0);
+  EXPECT_EQ(m.gauge("lockgraph.closed_spans").value(), 2);
+  EXPECT_EQ(m.gauge("lockgraph.joined_at").value(), 2);
 }
 
 TEST(LockGraph, RecursiveParentHoldClosesAtOutermostRelease) {

@@ -36,7 +36,7 @@ TEST(FlightRecorder, WraparoundKeepsNewestAndCountsDropped) {
   cfg.capacity = 8;
   FlightRecorder rec(cfg);
   for (std::uint64_t i = 0; i < 20; ++i)
-    rec.record(EventKind::Custom, /*vtime=*/i, /*tid=*/0, /*a=*/i, /*b=*/0);
+    rec.record(EventKind::Finish, /*vtime=*/i, /*tid=*/0, /*a=*/i, /*b=*/0);
   EXPECT_EQ(rec.recorded(), 20u);
   EXPECT_EQ(rec.dropped(), 12u);
   const std::vector<Event> events = rec.snapshot();
@@ -55,11 +55,11 @@ TEST(FlightRecorder, HashCoversDroppedEvents) {
   RecorderConfig cfg;
   cfg.capacity = 4;
   FlightRecorder a(cfg), b(cfg);
-  a.record(EventKind::Custom, 0, 0, /*a=*/111, 0);
-  b.record(EventKind::Custom, 0, 0, /*a=*/222, 0);
+  a.record(EventKind::Finish, 0, 0, /*a=*/111, 0);
+  b.record(EventKind::Finish, 0, 0, /*a=*/222, 0);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    a.record(EventKind::Custom, 1 + i, 0, i, 0);
-    b.record(EventKind::Custom, 1 + i, 0, i, 0);
+    a.record(EventKind::Finish, 1 + i, 0, i, 0);
+    b.record(EventKind::Finish, 1 + i, 0, i, 0);
   }
   EXPECT_NE(a.hash(), b.hash());
 }
@@ -243,7 +243,7 @@ TEST(FlightRecorder, RingFloorTracksDroppedEvents) {
   FlightRecorder rec(cfg);
   EXPECT_EQ(rec.ring_floor(), 0u);
   for (std::uint64_t i = 0; i < 20; ++i)
-    rec.record(EventKind::Custom, i, 0, i, 0);
+    rec.record(EventKind::Finish, i, 0, i, 0);
   // The floor is the oldest surviving sequence number; everything below
   // it wrapped away but stays covered by the stream hash.
   EXPECT_EQ(rec.ring_floor(), 12u);
@@ -263,7 +263,7 @@ TEST(FlightRecorder, ExplainNearWrapBoundaryDegradesGracefully) {
   const std::uint64_t warn_cursor = rec.cursor();  // story = 1 event
   // 16 unrelated events push the access (and the cursor) out of the ring.
   for (std::uint64_t i = 0; i < 16; ++i)
-    rec.record(EventKind::Custom, 1 + i, 0, i, 0);
+    rec.record(EventKind::Finish, 1 + i, 0, i, 0);
   ASSERT_LT(warn_cursor, rec.ring_floor());
   EXPECT_TRUE(rec.explain(racy, 8, warn_cursor, 32).empty());
   // A cursor above the floor sees exactly the surviving window: the story
@@ -286,8 +286,8 @@ TEST(FlightRecorder, HashStillCoversEventsLostToWraparound) {
   a.record(EventKind::Access, 0, 0, 0x10, 8);
   b.record(EventKind::Access, 0, 0, 0x10, 4);  // differs only here
   for (std::uint64_t i = 0; i < 8; ++i) {
-    a.record(EventKind::Custom, 1 + i, 0, i, 0);
-    b.record(EventKind::Custom, 1 + i, 0, i, 0);
+    a.record(EventKind::Finish, 1 + i, 0, i, 0);
+    b.record(EventKind::Finish, 1 + i, 0, i, 0);
   }
   ASSERT_GT(a.dropped(), 0u);
   // Surviving windows are identical...
@@ -417,21 +417,89 @@ TEST(Observability, RecorderOffMatchesRecorderOnOutcomes) {
 }
 
 TEST(Observability, ProfilerCountsMatchDispatchedEvents) {
+  // The profiler and the recorder key on one EventKind, and Runtime::emit
+  // records and dispatches each runtime event in one call: per kind, every
+  // tool's profiler count equals the recorder's count.
   sipp::ExperimentConfig cfg;
   cfg.seed = 7;
   cfg.detector = core::HelgrindConfig::hwlc_dr();
+  cfg.deadlock_tool = true;
   obs::HookProfiler prof;
   cfg.profiler = &prof;
+  RecorderConfig big;
+  big.capacity = 1u << 18;
+  FlightRecorder rec(big);
+  cfg.recorder = &rec;
   const sipp::Scenario sc = sipp::build_testcase(2, cfg.seed);
   const sipp::ExperimentResult r = sipp::run_scenario(sc, cfg);
-  ASSERT_EQ(prof.tool_count(), 1u);
+  ASSERT_EQ(rec.dropped(), 0u);
+  ASSERT_EQ(prof.tool_count(), 2u);
   EXPECT_EQ(prof.tool_name(0), "helgrind");
-  EXPECT_EQ(prof.events(0, obs::Hook::Access), r.sim.access_events);
-  EXPECT_EQ(prof.events(0, obs::Hook::Finish), 1u);
+  EXPECT_EQ(prof.tool_name(1), "deadlock");
+
+  std::vector<std::uint64_t> recorded(obs::kEventKindCount, 0);
+  for (const Event& e : rec.snapshot())
+    ++recorded[static_cast<std::size_t>(e.kind)];
+  const EventKind both[] = {
+      EventKind::ThreadStart, EventKind::ThreadJoin, EventKind::LockCreate,
+      EventKind::PreLock,     EventKind::PostLock,   EventKind::Unlock,
+      EventKind::CondSignal,  EventKind::CondWait,   EventKind::SemPost,
+      EventKind::SemWait,     EventKind::QueuePut,   EventKind::QueueGet,
+      EventKind::Alloc,       EventKind::Free,       EventKind::Destruct,
+  };
+  std::size_t seen = 0;
+  for (const EventKind kind : both) {
+    const std::uint64_t n = recorded[static_cast<std::size_t>(kind)];
+    seen += n != 0;
+    for (std::size_t t = 0; t < prof.tool_count(); ++t) {
+      // A tool misses what was raised before it attached: helgrind
+      // registers its bus pseudo-lock while attaching, before lockgraph.
+      const std::uint64_t missed = t == 1 && kind == EventKind::LockCreate;
+      EXPECT_EQ(prof.events(t, kind), n - missed)
+          << prof.tool_name(t) << " " << obs::to_string(kind);
+    }
+  }
+  EXPECT_GE(seen, 8u);  // the run exercises most of them
+  EXPECT_GT(recorded[static_cast<std::size_t>(EventKind::ThreadExit)], 0u);
+  for (std::size_t t = 0; t < prof.tool_count(); ++t) {
+    EXPECT_EQ(prof.events(t, EventKind::Access), r.sim.access_events);
+    EXPECT_EQ(prof.events(t, EventKind::Finish), 1u);
+    // Recorded only: no tool hooks them.
+    EXPECT_EQ(prof.events(t, EventKind::ThreadExit), 0u);
+    EXPECT_EQ(prof.events(t, EventKind::SchedSwitch), 0u);
+  }
+  EXPECT_EQ(recorded[static_cast<std::size_t>(EventKind::Finish)], 0u);
   EXPECT_GT(prof.total_cycles(0), 0u);
   const std::string table = prof.render();
   EXPECT_NE(table.find("helgrind"), std::string::npos);
   EXPECT_NE(table.find("TOTAL"), std::string::npos);
+}
+
+TEST(Observability, SharedProfilerSumsEachToolInOneRow) {
+  // One profiler and one registry across two Sims (rg-debug --testcase 0
+  // --profile): each tool keeps one row, which sums both runs.
+  sipp::ExperimentConfig cfg;
+  cfg.seed = 7;
+  cfg.detector = core::HelgrindConfig::hwlc_dr();
+  auto total_of = [&](int testcase) {
+    obs::HookProfiler own;
+    cfg.profiler = &own;
+    sipp::run_scenario(sipp::build_testcase(testcase, cfg.seed), cfg);
+    return own.total_events(0);
+  };
+  const std::uint64_t expected = total_of(1) + total_of(2);
+  obs::HookProfiler shared;
+  obs::MetricsRegistry registry;
+  cfg.profiler = &shared;
+  cfg.metrics = &registry;
+  sipp::run_scenario(sipp::build_testcase(1, cfg.seed), cfg);
+  sipp::run_scenario(sipp::build_testcase(2, cfg.seed), cfg);
+  ASSERT_EQ(shared.tool_count(), 1u);
+  EXPECT_EQ(shared.tool_name(0), "helgrind");
+  EXPECT_EQ(shared.total_events(0), expected);
+  EXPECT_EQ(registry.counter("profiler.helgrind.total.events").value(),
+            expected);
+  EXPECT_EQ(shared.events(0, EventKind::Finish), 2u);
 }
 
 TEST(Observability, DomainLayersRecordThroughTheSim) {

@@ -16,7 +16,7 @@ namespace {
 
 class CountingTool : public Tool {
  public:
-  int starts = 0, exits = 0, joins = 0;
+  int starts = 0, joins = 0;
   int lock_creates = 0, accesses = 0, allocs = 0, frees = 0, destructs = 0;
   int finishes = 0;
   MemoryAccess last_access;
@@ -24,7 +24,6 @@ class CountingTool : public Tool {
   void on_thread_start(ThreadId, ThreadId, support::SiteId) override {
     ++starts;
   }
-  void on_thread_exit(ThreadId) override { ++exits; }
   void on_thread_join(ThreadId, ThreadId, support::SiteId) override {
     ++joins;
   }
@@ -375,11 +374,11 @@ TEST(AllocRegistry, AllocAndFreeEventsCarryTheBlockIdentity) {
   rt.set_recorder(&rec);
   const ThreadId t = rt.register_thread("main", kNoThread, 0);
   rt.alloc(t, 0x6000, 32, 1);
-  rt.trace_addr(obs::EventKind::Access, t, 0x6000, 4);
+  rt.record(obs::EventKind::Access, {t, 0x6000, 4});
   rt.free(t, 0x6000, 0);
   rt.alloc(t, 0x6000, 32, 1);  // same address, new block
   rt.alloc(t, 0x7000, 0, 2);
-  rt.trace_addr(obs::EventKind::Access, t, 0x7000, 4);
+  rt.record(obs::EventKind::Access, {t, 0x7000, 4});
   rt.free(t, 0x7000, 0);
   std::vector<obs::Event> mem;
   for (const obs::Event& e : rec.snapshot())

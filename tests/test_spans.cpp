@@ -72,11 +72,11 @@ TEST(SpanTracker, AdoptContinuesTraceAcrossThreads) {
 TEST(SpanTracker, RecorderStampsActiveSpanIntoEvents) {
   FlightRecorder rec;
   SpanTracker spans(&rec);
-  rec.record(EventKind::Custom, 0, /*tid=*/0, 1, 0);  // before any span
+  rec.record(EventKind::Finish, 0, /*tid=*/0, 1, 0);  // before any span
   const std::uint32_t s = spans.begin_span(0, "txn");
-  rec.record(EventKind::Custom, 1, /*tid=*/0, 2, 0);  // inside
+  rec.record(EventKind::Finish, 1, /*tid=*/0, 2, 0);  // inside
   spans.end_span(0);
-  rec.record(EventKind::Custom, 2, /*tid=*/0, 3, 0);  // after
+  rec.record(EventKind::Finish, 2, /*tid=*/0, 3, 0);  // after
   const std::vector<Event> events = rec.snapshot();
   // Custom(1), SpanBegin, Custom(2), SpanEnd, Custom(3).
   ASSERT_EQ(events.size(), 5u);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: regular build (-Werror) + full test suite, then an ASan+UBSan
-# build (-Werror too).
+# Tier-1 CI: regular build (-Werror) + full test suite, a build of the
+# benchmark binary (perfbench/), then an ASan+UBSan build (-Werror too).
 #
 # Usage: tools/ci.sh [--fast] [--bench] [--soak] [--trace] [--deadlock]
 #                    [--obs] [--perfbench]
@@ -20,12 +20,11 @@
 #            bench smoke gate, and a span-traced rg-debug run whose
 #            Chrome trace (spans + flows), span summary and contention
 #            matrix are round-trip validated and replay-compared
-#   --perfbench  additionally build the benchmark (perfbench/) and run
-#            each gated workload plus long-session (the longest thread
+#   --perfbench  additionally run the benchmark (perfbench/) on each
+#            gated workload plus long-session (the longest thread
 #            populations, so the most scheduler scans) for 1 s; fails
 #            unless the result line reports "correct": true and
-#            "failed": 0, i.e. the benchmark still compiles against src/
-#            and every output matches its reference digest
+#            "failed": 0, i.e. every output matches its reference digest
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,6 +55,14 @@ echo "== tier-1: configure + build + ctest =="
 cmake --preset default -DRG_WERROR=ON
 cmake --build --preset default -j
 ctest --preset default -j
+
+echo "== perfbench: build the benchmark binary =="
+# The binary compiles against src/ but no test builds it; build it on every
+# run, with the configure and build commands of perfbench/run.py.
+if [[ ! -f .bench_build/perfbench/CMakeCache.txt ]]; then
+  cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+fi
+cmake --build .bench_build/perfbench -j 4 --target perfbench
 
 if [[ "$BENCH" == 1 ]]; then
   echo "== bench: smoke runs of the perf-critical binaries =="
